@@ -9,6 +9,7 @@ here too so every method is evaluated through one code path.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,12 @@ from typing import Mapping
 import numpy as np
 
 from .embeddings import EmbeddingTable, IdfTable
-from .textprep import NormalizedText, SortedText, sort_by_idf
+from .textprep import (
+    NORMALIZATION_VERSION,
+    NormalizedText,
+    SortedText,
+    sort_by_idf,
+)
 
 BASELINE_METHODS = (
     "mean",
@@ -46,7 +52,7 @@ class WeightModel:
     n_max: int
     weights: np.ndarray
     metric: str = "euclidean"
-    normalization_version: str = "v1"
+    normalization_version: str = NORMALIZATION_VERSION
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -90,43 +96,32 @@ class Representation:
     used_tokens: int
 
 
-def interpolation_plan(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based (floor, ceil, fraction) arrays mapping m ranks onto n_max weights.
+@functools.lru_cache(maxsize=256)
+def interpolation_matrix(m: int, n_max: int) -> np.ndarray:
+    """The m x n_max matrix P_m that subsamples n_max weights down to m.
 
-    Rank j (1-based) lands on the real-valued index 1 + (j-1)(n_max-1)/(m-1).
+    z = P_m @ w interpolates linearly: rank j (1-based) lands on the
+    real-valued index 1 + (j-1)(n_max-1)/(m-1) and mixes the two weights
+    around it.  P_{n_max} is the identity and P_1 picks w_1.  The result
+    is cached and read-only.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > n_max:
         raise ValueError(f"m={m} exceeds n_max={n_max}")
+    matrix = np.zeros((m, n_max))
     if m == 1:
-        return np.array([0]), np.array([0]), np.array([0.0])
-    j = np.arange(m, dtype=np.float64)
-    indices = j * (n_max - 1) / (m - 1)
-    floor = np.floor(indices).astype(np.intp)
-    ceil = np.minimum(floor + 1, n_max - 1)
-    frac = indices - floor
-    return floor, ceil, frac
-
-
-def interpolate_weights(
-    model: WeightModel, m: int, verbatim: bool = False
-) -> np.ndarray:
-    """Subsample the n_max weights down to m via linear interpolation.
-
-    m = n_max returns the stored weights unchanged (bit-equal copy);
-    m = 1 returns (w_1,).  ``verbatim`` switches to the compatibility
-    form that divides by (ceil - floor + eps) and adds w_ceil, kept only
-    for differential testing against the uncorrected interpolation rule.
-    """
-    if m == model.n_max:
-        return model.weights.copy()
-    floor, ceil, frac = interpolation_plan(model.n_max, m)
-    w = model.weights
-    if verbatim:
-        eps = 1e-8
-        return (w[ceil] - w[floor]) * frac / (ceil - floor + eps) + w[ceil]
-    return w[floor] + (w[ceil] - w[floor]) * frac
+        matrix[0, 0] = 1.0
+    else:
+        rows = np.arange(m)
+        indices = rows * (n_max - 1) / (m - 1)
+        floor = np.floor(indices).astype(np.intp)
+        ceil = np.minimum(floor + 1, n_max - 1)
+        frac = indices - floor
+        matrix[rows, floor] = 1.0 - frac
+        matrix[rows, ceil] += frac
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _embedding_matrix(
@@ -158,7 +153,7 @@ def represent_learned(
     if len(kept) > model.n_max:
         matrix = matrix[: model.n_max]
     m = matrix.shape[0]
-    z = interpolate_weights(model, m)
+    z = interpolation_matrix(m, model.n_max) @ model.weights
     vector = (z @ matrix) / m
     return Representation(vector=vector, used_tokens=m)
 
@@ -240,7 +235,17 @@ def distance(x: Representation, y: Representation, metric: str) -> float:
 
 
 def learned_representer(table: EmbeddingTable, idf: IdfTable, model: WeightModel):
-    """Closure NormalizedText -> Representation for the learned model."""
+    """Closure NormalizedText -> Representation for the learned model.
+
+    The model must have been trained on text normalized the way
+    ``textprep.normalize`` does it now.
+    """
+    if model.normalization_version != NORMALIZATION_VERSION:
+        raise ValueError(
+            f"model was trained on normalization "
+            f"{model.normalization_version!r}, but this textrep normalizes "
+            f"text as {NORMALIZATION_VERSION!r}"
+        )
 
     def represent(text: NormalizedText) -> Representation:
         return represent_learned(sort_by_idf(text, idf), table, model)

@@ -248,18 +248,18 @@ def cmd_baseline_eval(args):
 
         theta, _ = optimal_split(tfidf_samples(val_pairs))
         samples = tfidf_samples(test_pairs)
-        from .evaluate import EvalReport, js_divergence, split_error
-        import numpy as np
+        from .evaluate import (
+            EvalReport,
+            distance_histograms,
+            js_divergence,
+            split_error,
+        )
 
         dists = [d for d, _ in samples]
         labels = [p for _, p in samples]
         related = [d for d, p in samples if p == +1]
         nonrel = [d for d, p in samples if p == -1]
-        lo, hi = min(dists), max(dists)
-        if lo == hi:
-            hi = lo + 1.0
-        hist_r, edges = np.histogram(related, bins=args.bins, range=(lo, hi))
-        hist_n, _ = np.histogram(nonrel, bins=args.bins, range=(lo, hi))
+        hist_r, hist_n, edges = distance_histograms(related, nonrel, args.bins)
         report = EvalReport(
             method_name="tfidf",
             theta=float(theta),

@@ -66,7 +66,8 @@ class IdfTable:
 def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
     """Build an IdfTable with idf(t) = ln(N / (1 + df(t))).
 
-    Natural logarithm; df may equal N (smoothing keeps the log finite).
+    Natural logarithm; df may equal N (smoothing keeps the log finite),
+    but no token can appear in more documents than the corpus holds.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus_size must be >= 1, got {corpus_size}")
@@ -74,6 +75,11 @@ def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
     for token, df in doc_freq.items():
         if df < 0:
             raise ValueError(f"negative document frequency for {token!r}: {df}")
+        if df > corpus_size:
+            raise ValueError(
+                f"document frequency for {token!r} exceeds the corpus size "
+                f"{corpus_size}: {df}"
+            )
         idf[token] = math.log(corpus_size / (1 + df))
     return IdfTable(corpus_size=corpus_size, doc_freq=dict(doc_freq), idf=idf)
 

@@ -96,11 +96,11 @@ def optimal_split(samples: Sequence[tuple[float, int]]) -> tuple[float, float]:
     return theta, best_wrong / n
 
 
-def js_divergence(
+def distance_histograms(
     related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = 100
-) -> float:
-    """Jensen-Shannon divergence between the two binned distance
-    distributions, natural log, over the pooled value range."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts of both distance sequences over ``bins`` equal-width bins
+    spanning their pooled range: (related, non-related, bin edges)."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
     if len(related_d) == 0 or len(nonrelated_d) == 0:
@@ -111,6 +111,15 @@ def js_divergence(
         hi = lo + 1.0  # degenerate range: everything in bin 0 for both
     hist_r, edges = np.histogram(related_d, bins=bins, range=(lo, hi))
     hist_n, _ = np.histogram(nonrelated_d, bins=bins, range=(lo, hi))
+    return hist_r, hist_n, edges
+
+
+def js_divergence(
+    related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = 100
+) -> float:
+    """Jensen-Shannon divergence between the two binned distance
+    distributions, natural log, over the pooled value range."""
+    hist_r, hist_n, _ = distance_histograms(related_d, nonrelated_d, bins)
     return _js_from_counts(hist_r, hist_n)
 
 
@@ -195,13 +204,10 @@ def evaluate_method(
     related_d = [d for d, p in samples if p == +1]
     nonrelated_d = [d for d, p in samples if p == -1]
     if related_d and nonrelated_d:
-        js = js_divergence(related_d, nonrelated_d, bins=bins)
-        pooled = related_d + nonrelated_d
-        lo, hi = min(pooled), max(pooled)
-        if lo == hi:
-            hi = lo + 1.0
-        hist_r, edges = np.histogram(related_d, bins=bins, range=(lo, hi))
-        hist_n, _ = np.histogram(nonrelated_d, bins=bins, range=(lo, hi))
+        hist_r, hist_n, edges = distance_histograms(
+            related_d, nonrelated_d, bins
+        )
+        js = _js_from_counts(hist_r, hist_n)
     else:
         js = 0.0
         edges = np.linspace(0.0, 1.0, bins + 1)

@@ -1,10 +1,13 @@
 """Weight training with contrastive and median-based minibatch losses.
 
-A couple is a pair of idf-sorted embedding matrices plus a +1/-1 label.
-The contrastive loss is the signed Euclidean distance between the two
-weighted-average representations.  The median-based loss softplus-penalizes
-couples on the wrong side of the minibatch's median pair distance, with
-the median couple's identity held fixed inside each gradient step.
+A couple is a Gram matrix G plus a +1/-1 label.  Representations are
+linear in the weights w, so the difference of a couple's two
+weighted-average representations is D w for a dim x n_max matrix D, and
+the couple's Euclidean distance is sqrt(w^T G w) with G = D^T D.  The
+contrastive loss is the label-signed distance.  The median-based loss
+softplus-penalizes couples on the wrong side of the minibatch's median
+pair distance, with the median couple's identity held fixed inside each
+gradient step.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregate import WeightModel, interpolation_plan
+from .aggregate import WeightModel, interpolation_matrix
 from .embeddings import EmbeddingTable, IdfTable
 from .pairgen import TextPair
 from .textprep import sort_by_idf
@@ -25,21 +28,10 @@ from .textprep import sort_by_idf
 
 @dataclass(frozen=True)
 class Couple:
-    """One training pair, reduced to its idf-sorted embedding matrices."""
+    """One training pair, reduced to the Gram matrix of its distance."""
 
-    vectors_a: np.ndarray  # (m_a, dim), rows ordered by descending idf
-    vectors_b: np.ndarray  # (m_b, dim)
+    gram: np.ndarray  # (n_max, n_max), distance^2 = w @ gram @ w
     label: int  # +1 related, -1 non-related
-
-
-@dataclass
-class Minibatch:
-    """Couples plus their distances and the batch's median couple."""
-
-    couples: Sequence[Couple]
-    distances: np.ndarray
-    median_index: int
-    median_distance: float
 
 
 @dataclass
@@ -73,109 +65,51 @@ class EpochRecord:
     wall_seconds: float
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def sigmoid(x):
+    """Logistic function, elementwise, without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softplus(x: float) -> float:
-    """ln(1 + exp(x)) without overflow."""
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def softplus(x):
+    """ln(1 + exp(x)), elementwise, without overflow."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _rep_and_plan(vectors: np.ndarray, w: np.ndarray, n_max: int):
-    """Representation of one text plus its interpolation scatter plan."""
+def couple_gram(
+    vectors_a: np.ndarray, vectors_b: np.ndarray, n_max: int
+) -> np.ndarray:
+    """G = D^T D for D = V_a^T P_{m_a} / m_a - V_b^T P_{m_b} / m_b.
+
+    ``vectors_a`` and ``vectors_b`` are the idf-sorted (m, dim) embedding
+    matrices of the two texts, at most n_max rows each; D w is the
+    difference of their learned representations under weights w.
+    """
+    diff = _weighting(vectors_a, n_max) - _weighting(vectors_b, n_max)
+    return diff.T @ diff
+
+
+def _weighting(vectors: np.ndarray, n_max: int) -> np.ndarray:
+    """The dim x n_max matrix V^T P_m / m; (V^T P_m / m) w is a text's
+    representation under weights w."""
     m = vectors.shape[0]
-    floor, ceil, frac = interpolation_plan(n_max, m)
-    z = w[floor] + (w[ceil] - w[floor]) * frac
-    rep = (z @ vectors) / m
-    return rep, (floor, ceil, frac, m)
+    return (vectors.T @ interpolation_matrix(m, n_max)) / m
 
 
-def _scatter(plan, values: np.ndarray, out: np.ndarray) -> None:
-    """Distribute per-rank values onto the weight gradient via the plan."""
-    floor, ceil, frac, _ = plan
-    np.add.at(out, floor, values * (1.0 - frac))
-    np.add.at(out, ceil, values * frac)
-
-
-def couple_distance_and_gradient(
-    couple: Couple, w: np.ndarray, n_max: int
-) -> tuple[float, np.ndarray]:
-    """Euclidean pair distance and its gradient w.r.t. the n_max weights.
+def _distances_and_gradients(
+    couples: Sequence[Couple], w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair distances d = sqrt(w^T G w) and their weight gradients G w / d.
 
     At d = 0 the distance is non-differentiable; the subgradient 0 is
     returned (coincident representations need no push).
     """
-    rep_a, plan_a = _rep_and_plan(couple.vectors_a, w, n_max)
-    rep_b, plan_b = _rep_and_plan(couple.vectors_b, w, n_max)
-    diff = rep_a - rep_b
-    d = float(np.linalg.norm(diff))
-    grad = np.zeros(n_max)
-    if d > 0.0:
-        _scatter(plan_a, (couple.vectors_a @ diff) / (plan_a[3] * d), grad)
-        _scatter(plan_b, (couple.vectors_b @ -diff) / (plan_b[3] * d), grad)
-    return d, grad
-
-
-def contrastive_loss(t_a: np.ndarray, t_b: np.ndarray, label: int) -> float:
-    """Signed distance: label * d(t_a, t_b) under the Euclidean metric."""
-    return label * float(np.linalg.norm(t_a - t_b))
-
-
-def contrastive_gradient(couple: Couple, model: WeightModel) -> np.ndarray:
-    d, grad = couple_distance_and_gradient(couple, model.weights, model.n_max)
-    return couple.label * grad
-
-
-def make_minibatch(couples: Sequence[Couple], w: np.ndarray, n_max: int) -> Minibatch:
-    """Compute all pair distances and locate the median couple.
-
-    The median is the lower-middle couple of the distance-sorted batch;
-    distance ties break by batch position (stable sort).
-    """
-    distances = np.array(
-        [couple_distance_and_gradient(c, w, n_max)[0] for c in couples]
-    )
-    order = np.argsort(distances, kind="stable")
-    median_index = int(order[(len(couples) - 1) // 2])
-    return Minibatch(
-        couples=couples,
-        distances=distances,
-        median_index=median_index,
-        median_distance=float(distances[median_index]),
-    )
-
-
-def median_loss(batch: Minibatch, couple_index: int, kappa: float) -> float:
-    """softplus(-kappa * p * (mu(B) - d)) for the indexed couple."""
-    p = batch.couples[couple_index].label
-    d = float(batch.distances[couple_index])
-    return softplus(-kappa * p * (batch.median_distance - d))
-
-
-def median_gradient(
-    batch: Minibatch, couple_index: int, model: WeightModel, kappa: float
-) -> np.ndarray:
-    """Gradient of the indexed couple's median loss w.r.t. the weights.
-
-    kappa * sigma(-kappa p (mu - d)) * p * (grad d - grad d_median), the
-    median couple's identity held fixed.  The median couple itself gets
-    an exactly zero gradient (the two terms cancel).
-    """
-    if couple_index == batch.median_index:
-        return np.zeros(model.n_max)
-    couple = batch.couples[couple_index]
-    d, grad_d = couple_distance_and_gradient(couple, model.weights, model.n_max)
-    _, grad_mu = couple_distance_and_gradient(
-        batch.couples[batch.median_index], model.weights, model.n_max
-    )
-    factor = kappa * sigmoid(-kappa * couple.label * (batch.median_distance - d))
-    return factor * couple.label * (grad_d - grad_mu)
+    gw = np.stack([c.gram for c in couples]) @ w
+    distances = np.sqrt(np.maximum(gw @ w, 0.0))
+    grads = np.zeros_like(gw)
+    positive = distances[:, None] > 0.0
+    np.divide(gw, distances[:, None], out=grads, where=positive)
+    return distances, grads
 
 
 def batch_loss_and_gradient(
@@ -190,29 +124,25 @@ def batch_loss_and_gradient(
 
     ``median_index`` pins the median couple's identity (used both for the
     within-step fixed-median convention and for finite-difference checks);
-    its distance still varies with w.
+    its distance still varies with w.  Otherwise the median is the
+    lower-middle couple of the distance-sorted batch, distance ties broken
+    by batch position (stable sort).
     """
-    n_max = len(w)
-    dist_grads = [couple_distance_and_gradient(c, w, n_max) for c in couples]
-    distances = np.array([dg[0] for dg in dist_grads])
+    distances, grads = _distances_and_gradients(couples, w)
     labels = np.array([c.label for c in couples], dtype=np.float64)
 
-    grad = np.zeros(n_max)
     if loss == "contrastive":
         total = float(labels @ distances)
-        for (d, g), p in zip(dist_grads, labels):
-            grad += p * g
+        grad = labels @ grads
     else:
         if median_index is None:
             order = np.argsort(distances, kind="stable")
             median_index = int(order[(len(couples) - 1) // 2])
-        mu = distances[median_index]
-        grad_mu = dist_grads[median_index][1]
-        total = 0.0
-        for (d, g), p in zip(dist_grads, labels):
-            arg = -kappa * p * (mu - d)
-            total += softplus(arg)
-            grad += kappa * sigmoid(arg) * p * (g - grad_mu)
+        # softplus(-kappa p (mu - d)) per couple; its gradient is
+        # kappa sigma(.) p (grad d - grad mu), exactly zero for the median.
+        arg = -kappa * labels * (distances[median_index] - distances)
+        total = float(np.sum(softplus(arg)))
+        grad = (kappa * sigmoid(arg) * labels) @ (grads - grads[median_index])
 
     n = len(couples)
     loss_value = total / n + lam * float(w @ w)
@@ -226,7 +156,8 @@ def prepare_couples(
     idf: IdfTable,
     n_max: int,
 ) -> list[Couple]:
-    """Sort, OOV-filter and truncate pairs into training couples.
+    """Sort, OOV-filter and truncate pairs, then reduce each to the Gram
+    matrix of its distance.
 
     Pairs where either side has no in-vocabulary token are dropped.
     """
@@ -239,20 +170,16 @@ def prepare_couples(
             rows = [r for r in rows if r is not None][:n_max]
             sides.append(rows)
         if sides[0] and sides[1]:
-            couples.append(
-                Couple(
-                    vectors_a=np.stack(sides[0]),
-                    vectors_b=np.stack(sides[1]),
-                    label=pair.label,
-                )
-            )
+            gram = couple_gram(np.stack(sides[0]), np.stack(sides[1]), n_max)
+            couples.append(Couple(gram=gram, label=pair.label))
     return couples
 
 
 def train_couples(
     couples: Sequence[Couple], config: TrainConfig
 ) -> tuple[WeightModel, list[EpochRecord]]:
-    """Minibatch SGD over prepared couples, with the two-step eta schedule.
+    """SGD on label-balanced minibatches of prepared couples, with the
+    two-step eta schedule.
 
     eta drops from eta_initial to eta_reduced the first time the mean
     epoch loss deteriorates; at the reduced rate, training stops once the
@@ -367,16 +294,9 @@ def grid_search_kappa(
                     **{**config.__dict__, "kappa": kappa, "loss": "median"}
                 )
                 model, _ = train_couples(train_set, fold_config)
-                samples = [
-                    (
-                        couple_distance_and_gradient(
-                            c, model.weights, config.n_max
-                        )[0],
-                        c.label,
-                    )
-                    for c in held_out
-                ]
-                _, err = optimal_split(samples)
+                held_d, _ = _distances_and_gradients(held_out, model.weights)
+                labels = [c.label for c in held_out]
+                _, err = optimal_split(list(zip(held_d.tolist(), labels)))
                 errors.append(err)
             except (ValueError, FloatingPointError) as exc:
                 warnings.warn(f"fold {k} failed for kappa={kappa}: {exc}")

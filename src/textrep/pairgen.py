@@ -293,6 +293,10 @@ def load_pairs(source: IO[str]) -> list[TextPair]:
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 3:
             raise ValueError(f"malformed pair row, line {lineno}: {line!r}")
+        if fields[0] not in ("0", "1"):
+            raise ValueError(
+                f"pair label must be 1 or 0, line {lineno}: {fields[0]!r}"
+            )
         label = +1 if fields[0] == "1" else -1
         pairs.append(
             TextPair(

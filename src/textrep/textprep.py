@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .embeddings import IdfTable
 
+# Stored in every model; bump it whenever normalize() changes its output.
+NORMALIZATION_VERSION = "v1"
+
 _URL_OR_MENTION = re.compile(r"^(https?://|www\.|@)", re.IGNORECASE)
 _DIGIT_RUN = re.compile(r"[0-9]+")
 

@@ -12,7 +12,7 @@ import pytest
 from textrep.aggregate import (
     WeightModel,
     baseline_representer,
-    interpolate_weights,
+    interpolation_matrix,
     learned_representer,
     represent_baseline,
     represent_learned,
@@ -29,11 +29,8 @@ from textrep.learn import (
     Couple,
     TrainConfig,
     batch_loss_and_gradient,
-    contrastive_loss,
+    couple_gram,
     grid_search_kappa,
-    make_minibatch,
-    median_gradient,
-    median_loss,
     train,
 )
 from textrep.pairgen import TextPair, save_pairs
@@ -41,6 +38,7 @@ from textrep.textprep import NormalizedText, sort_by_idf
 
 from synth import make_pairs, split_pairs
 from test_evaluate import brute_force_split
+from test_learn import batch_distances, lower_middle
 
 
 def check(name, condition):
@@ -61,25 +59,24 @@ def random_instance(rng):
     for i in range(10):
         m_a = n_max if fixed else int(rng.integers(1, n_max + 1))
         m_b = n_max if fixed else int(rng.integers(1, n_max + 1))
-        couples.append(
-            Couple(
-                rng.normal(size=(m_a, nu)),
-                rng.normal(size=(m_b, nu)),
-                +1 if i < 5 else -1,
-            )
+        gram = couple_gram(
+            rng.normal(size=(m_a, nu)), rng.normal(size=(m_b, nu)), n_max
         )
+        couples.append(Couple(gram, +1 if i < 5 else -1))
     w = rng.uniform(0.2, 1.0, size=n_max)
     return couples, w, n_max
 
 
-def instance_is_degenerate(couples, w, n_max):
-    batch = make_minibatch(couples, w, n_max)
-    if np.any(batch.distances < 1e-6):
-        return True, batch
+def instance_is_degenerate(couples, w):
+    """(degenerate?, median index) for a batch."""
+    distances = batch_distances(couples, w)
+    median_index = lower_middle(distances)
+    if np.any(distances < 1e-6):
+        return True, median_index
     others = np.delete(
-        np.abs(batch.distances - batch.median_distance), batch.median_index
+        np.abs(distances - distances[median_index]), median_index
     )
-    return bool(np.any(others < 1e-6)), batch
+    return bool(np.any(others < 1e-6)), median_index
 
 
 def test_gradient_oracle():
@@ -90,13 +87,13 @@ def test_gradient_oracle():
     worst = 0.0
     while checked < 100:
         couples, w, n_max = random_instance(rng)
-        degenerate, batch = instance_is_degenerate(couples, w, n_max)
+        degenerate, median_index = instance_is_degenerate(couples, w)
         if degenerate:
             continue  # excluded and re-sampled per the criterion
         loss = "median" if checked % 2 == 0 else "contrastive"
         kappa = float(rng.uniform(1, 200))
         _, grad = batch_loss_and_gradient(
-            couples, w, loss, kappa, 0.001, batch.median_index
+            couples, w, loss, kappa, 0.001, median_index
         )
         fd = np.zeros(n_max)
         for k in range(n_max):
@@ -104,10 +101,10 @@ def test_gradient_oracle():
             wp[k] += h
             wm[k] -= h
             lp, _ = batch_loss_and_gradient(
-                couples, wp, loss, kappa, 0.001, batch.median_index
+                couples, wp, loss, kappa, 0.001, median_index
             )
             lm, _ = batch_loss_and_gradient(
-                couples, wm, loss, kappa, 0.001, batch.median_index
+                couples, wm, loss, kappa, 0.001, median_index
             )
             fd[k] = (lp - lm) / (2 * h)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -129,16 +126,18 @@ def test_gradient_oracle():
 def test_loss_identities():
     rng = np.random.default_rng(1)
     couples, w, n_max = random_instance(rng)
-    batch = make_minibatch(couples, w, n_max)
-    model = WeightModel(n_max=n_max, weights=w)
+    median = couples[lower_middle(batch_distances(couples, w))]
 
-    median_ok = abs(
-        median_loss(batch, batch.median_index, 160.0) - math.log(2)
-    ) < 1e-12
-    t = rng.normal(size=5)
-    contrastive_ok = contrastive_loss(t, t.copy(), +1) == 0.0
-    grad = median_gradient(batch, batch.median_index, model, 160.0)
+    # a one-couple batch is its own median
+    loss, grad = batch_loss_and_gradient([median], w, "median", 160.0, 0.0)
+    median_ok = abs(loss - math.log(2)) < 1e-12
     grad_ok = np.array_equal(grad, np.zeros(n_max))
+    t = rng.normal(size=(1, 5))
+    coincident = Couple(couple_gram(t, t.copy(), 1), +1)
+    loss, grad = batch_loss_and_gradient(
+        [coincident], np.ones(1), "contrastive", 0.0, 0.0
+    )
+    contrastive_ok = loss == 0.0 and np.array_equal(grad, np.zeros(1))
     check(
         "loss identities: median couple loss = ln 2, coincident contrastive "
         "loss = 0, median couple gradient = 0",
@@ -156,10 +155,10 @@ def test_interpolation_identities():
     ok = True
     for n_max in range(1, 51):
         model = WeightModel(n_max=n_max, weights=rng.normal(size=n_max))
-        z = interpolate_weights(model, n_max)
+        z = interpolation_matrix(n_max, n_max) @ model.weights
         ok &= np.array_equal(z, model.weights)
         for m in range(2, n_max + 1):
-            z = interpolate_weights(model, m)
+            z = interpolation_matrix(m, n_max) @ model.weights
             ok &= z[0] == model.weights[0] and z[-1] == model.weights[-1]
     check(
         "interpolation identities: m=n_max bit-equal, endpoints exact for "

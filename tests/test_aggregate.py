@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textrep.aggregate import (
     Representation,
     UnrepresentableText,
     WeightModel,
     distance,
-    interpolate_weights,
+    interpolation_matrix,
+    learned_representer,
     represent_baseline,
     represent_learned,
     tfidf_cosine_distance,
@@ -32,55 +34,79 @@ def model_of(weights, metric="euclidean"):
     return WeightModel(n_max=len(w), weights=w, metric=metric)
 
 
+def interpolate(model, m):
+    return interpolation_matrix(m, model.n_max) @ model.weights
+
+
+finite_weights = st.lists(
+    st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=60
+)
+
+
 class TestInterpolateWeights:
     def test_integer_indices_pick_through(self):
         model = model_of([0.9, 0.7, 0.5, 0.3, 0.1])
-        z = interpolate_weights(model, 3)
+        z = interpolate(model, 3)
         np.testing.assert_array_equal(z, [0.9, 0.5, 0.1])
 
     def test_identity_is_bit_equal(self):
         rng = np.random.default_rng(0)
         for n_max in range(1, 51):
             model = model_of(rng.normal(size=n_max))
-            z = interpolate_weights(model, n_max)
+            z = interpolate(model, n_max)
             assert np.array_equal(z, model.weights)
 
     def test_midpoint_interpolation(self):
         model = model_of([0.8, 0.6, 0.4, 0.2])
-        z = interpolate_weights(model, 3)
+        z = interpolate(model, 3)
         np.testing.assert_allclose(z, [0.8, 0.5, 0.2], atol=1e-15)
 
     def test_single_token_gets_first_weight(self):
         model = model_of([0.7, 0.1, 0.4])
-        np.testing.assert_array_equal(interpolate_weights(model, 1), [0.7])
+        np.testing.assert_array_equal(interpolate(model, 1), [0.7])
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(1)
         for n_max in range(2, 51):
             model = model_of(rng.normal(size=n_max))
             for m in range(2, n_max + 1):
-                z = interpolate_weights(model, m)
+                z = interpolate(model, m)
                 assert z[0] == model.weights[0]
                 assert z[-1] == model.weights[-1]
 
     def test_rejects_bad_m(self):
         model = model_of([1.0, 2.0])
         with pytest.raises(ValueError):
-            interpolate_weights(model, 3)
+            interpolate(model, 3)
         with pytest.raises(ValueError):
-            interpolate_weights(model, 0)
+            interpolate(model, 0)
 
-    def test_verbatim_formula_differs_off_grid(self):
-        # the uncorrected rule returns w_ceil-anchored values; at integer
-        # indices both forms agree
-        model = model_of([0.8, 0.6, 0.4, 0.2])
-        z = interpolate_weights(model, 3, verbatim=True)
-        assert z[1] == pytest.approx((0.4 - 0.6) * 0.5 / (1 + 1e-8) + 0.4)
-        np.testing.assert_allclose(
-            interpolate_weights(model_of([1.0, 2.0, 3.0]), 3, verbatim=True),
-            [1.0, 2.0, 3.0],
-            atol=1e-7,
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60).flatmap(
+        lambda n_max: st.tuples(st.integers(1, n_max), st.just(n_max))
+    ))
+    def test_rows_are_convex_combinations(self, shape):
+        matrix = interpolation_matrix(*shape)
+        assert matrix.shape == shape
+        assert not matrix.flags.writeable
+        assert np.all(matrix >= 0.0)
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_weights, st.data())
+    def test_identity_endpoints_and_range(self, weights, data):
+        w = np.array(weights)
+        n_max = len(w)
+        assert np.array_equal(interpolation_matrix(n_max, n_max) @ w, w)
+        np.testing.assert_array_equal(interpolation_matrix(1, n_max) @ w, w[:1])
+        if n_max > 1:
+            m = data.draw(st.integers(2, n_max))
+            z = interpolation_matrix(m, n_max) @ w
+            assert z[0] == w[0] and z[-1] == w[-1]
+        with pytest.raises(ValueError):
+            interpolation_matrix(data.draw(st.integers(-3, 0)), n_max)
+        with pytest.raises(ValueError):
+            interpolation_matrix(n_max + data.draw(st.integers(1, 3)), n_max)
 
 
 class TestRepresentLearned:
@@ -131,6 +157,14 @@ class TestRepresentLearned:
             rng.shuffle(tokens)
             rep = represent_learned(self.sorted_text(tokens, idf), table, model)
             np.testing.assert_allclose(rep.vector, base.vector, atol=1e-12)
+
+    def test_representer_rejects_other_normalization(self):
+        table = table_from({"a": [1.0]})
+        idf = compute_idf({"a": 1}, 10)
+        model = WeightModel(n_max=1, weights=np.ones(1),
+                            normalization_version="v999")
+        with pytest.raises(ValueError, match="'v999'.*'v1'"):
+            learned_representer(table, idf, model)
 
     def test_weight_scaling_scales_output(self):
         rng = np.random.default_rng(3)

@@ -184,3 +184,38 @@ class TestEmbed:
     def test_unrepresentable_is_data_error(self, workdir):
         assert run("embed", "--emb", workdir / "vec.txt",
                    "--df", workdir / "df.tsv", "--text", "zzz qqq") == 2
+
+
+class TestDataErrors:
+    def test_bad_pair_label(self, workdir, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("1\tt0w1 s1\tt0w2 s2\nyes\tt1w1 s1\tt2w2 s2\n")
+        assert run("train", "--pairs", pairs, "--emb", workdir / "vec.txt",
+                   "--df", workdir / "df.tsv", "--out", tmp_path / "m.json",
+                   "--nmax", 30, "--batch", 2) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_df_above_corpus_size(self, workdir, tmp_path, capsys):
+        df = tmp_path / "df.tsv"
+        df.write_text("N\t10\nt0w1\t50\n")
+        assert run("embed", "--emb", workdir / "vec.txt", "--df", df,
+                   "--text", "t0w1") == 2
+        assert "exceeds the corpus size" in capsys.readouterr().err
+
+    def test_model_of_other_normalization_version(self, workdir, tmp_path,
+                                                  capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_max": 2, "weights": [1.0, 0.5], "metric": "euclidean",
+            "normalization_version": "v999", "metadata": {},
+        }))
+        common = ("--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
+                  "--model", model_path)
+        assert run("embed", *common, "--text", "t0w1 s3") == 2
+        assert "'v999'" in capsys.readouterr().err
+        assert run("eval", *common, "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv",
+                   "--report", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert "'v999'" in err and "'v1'" in err
+        assert not (tmp_path / "r.json").exists()

@@ -94,6 +94,12 @@ class TestComputeIdf:
         with pytest.raises(ValueError):
             compute_idf({"a": -1}, 10)
 
+    def test_rejects_df_above_corpus_size(self):
+        with pytest.raises(ValueError, match="exceeds the corpus size 10"):
+            compute_idf({"x": 50}, 10)
+        # df == N is allowed; smoothing keeps the idf finite
+        assert compute_idf({"x": 10}, 10).idf_of("x") == math.log(10 / 11)
+
     def test_monotone_in_df(self):
         rng = np.random.default_rng(1)
         dfs = sorted(set(rng.integers(0, 1000, size=50).tolist()))

@@ -6,9 +6,11 @@ import pytest
 from textrep.aggregate import baseline_representer
 from textrep.evaluate import (
     binomial_test,
+    distance_histograms,
     evaluate_method,
     js_divergence,
     optimal_split,
+    pair_distances,
     split_error,
 )
 from textrep.pairgen import TextPair
@@ -222,6 +224,21 @@ class TestEvaluateMethod:
             theta=123.0,
         )
         assert report.theta == 123.0
+
+    def test_js_is_derived_from_the_report_histograms(self):
+        table, idf, pairs = make_pairs(n_related=50, n_nonrelated=50, seed=2)
+        representer = baseline_representer(table, idf, "mean")
+        report = evaluate_method(
+            pairs, representer, "euclidean", theta=1.0, bins=17
+        )
+        samples, _ = pair_distances(pairs, representer, "euclidean")
+        related = [d for d, p in samples if p == +1]
+        nonrelated = [d for d, p in samples if p == -1]
+        assert report.js_divergence == js_divergence(related, nonrelated, 17)
+        hist_r, hist_n, edges = distance_histograms(related, nonrelated, 17)
+        assert report.histogram_related == hist_r.tolist()
+        assert report.histogram_nonrelated == hist_n.tolist()
+        assert report.bin_edges == edges.tolist()
 
     def test_histogram_csv_format(self, tmp_path):
         import io

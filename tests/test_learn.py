@@ -2,35 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from textrep.aggregate import WeightModel
+import textrep.learn as learn_mod
+from textrep.aggregate import WeightModel, distance, represent_learned
+from textrep.embeddings import EmbeddingTable, compute_idf
 from textrep.learn import (
     Couple,
     TrainConfig,
     batch_loss_and_gradient,
-    contrastive_gradient,
-    contrastive_loss,
-    couple_distance_and_gradient,
+    couple_gram,
     grid_search_kappa,
-    make_minibatch,
-    median_gradient,
-    median_loss,
+    prepare_couples,
     sigmoid,
     softplus,
     train,
     train_couples,
 )
+from textrep.pairgen import TextPair
+from textrep.textprep import NormalizedText, sort_by_idf
 
 from synth import make_pairs, split_pairs
+
+
+def couple_of(vectors_a, vectors_b, label, n_max=1):
+    vectors_a = np.asarray(vectors_a, dtype=np.float64)
+    vectors_b = np.asarray(vectors_b, dtype=np.float64)
+    return Couple(couple_gram(vectors_a, vectors_b, n_max), label)
+
+
+def batch_distances(couples, w):
+    """Pair distances sqrt(w^T G w), computed independently of learn."""
+    return np.array([math.sqrt(max(w @ c.gram @ w, 0.0)) for c in couples])
+
+
+def lower_middle(distances):
+    return int(np.argsort(distances, kind="stable")[(len(distances) - 1) // 2])
 
 
 def random_couple(rng, nu, n_max, label, fixed_length):
     m_a = n_max if fixed_length else int(rng.integers(1, n_max + 1))
     m_b = n_max if fixed_length else int(rng.integers(1, n_max + 1))
-    return Couple(
-        vectors_a=rng.normal(size=(m_a, nu)),
-        vectors_b=rng.normal(size=(m_b, nu)),
-        label=label,
+    return couple_of(
+        rng.normal(size=(m_a, nu)), rng.normal(size=(m_b, nu)), label, n_max
     )
 
 
@@ -58,39 +72,46 @@ def fd_gradient(couples, w, loss, kappa, lam, median_index, h=1e-5):
     return grad
 
 
+def contrastive(couple, w):
+    return batch_loss_and_gradient([couple], w, "contrastive", 0.0, 0.0)
+
+
 class TestContrastiveLoss:
     def test_coincident_related_is_zero(self):
-        t = np.array([0.3, -0.7])
-        assert contrastive_loss(t, t, +1) == 0.0
+        t = np.array([[0.3, -0.7]])
+        loss, _ = contrastive(couple_of(t, t.copy(), +1), np.array([1.0]))
+        assert loss == 0.0
 
     def test_signed_values(self):
-        a, b = np.array([2.0]), np.array([0.0])
-        assert contrastive_loss(a, b, -1) == pytest.approx(-2.0)
-        a, b = np.array([0.5]), np.array([0.0])
-        assert contrastive_loss(a, b, +1) == pytest.approx(0.5)
+        w = np.array([1.0])
+        loss, _ = contrastive(couple_of([[2.0]], [[0.0]], -1), w)
+        assert loss == pytest.approx(-2.0)
+        loss, _ = contrastive(couple_of([[0.5]], [[0.0]], +1), w)
+        assert loss == pytest.approx(0.5)
 
     def test_sign_structure(self):
         rng = np.random.default_rng(0)
+        w = np.array([1.0])
         for _ in range(50):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            assert contrastive_loss(a, b, +1) >= 0
-            assert contrastive_loss(a, b, -1) <= 0
+            a, b = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+            assert contrastive(couple_of(a, b, +1), w)[0] >= 0
+            assert contrastive(couple_of(a, b, -1), w)[0] <= 0
 
 
 class TestContrastiveGradient:
     def test_scalar_hand_case(self):
         # nu=1, one word per side, vectors (2) and (0), w=(1), p=+1:
         # d(w) = |2w|/1 = 2w, so dL/dw = 2
-        couple = Couple(np.array([[2.0]]), np.array([[0.0]]), +1)
-        model = WeightModel(n_max=1, weights=np.array([1.0]))
-        grad = contrastive_gradient(couple, model)
+        couple = couple_of([[2.0]], [[0.0]], +1)
+        _, grad = contrastive(couple, np.array([1.0]))
         np.testing.assert_allclose(grad, [2.0])
 
     def test_coincident_zero_gradient(self):
         v = np.array([[1.0, 2.0]])
-        couple = Couple(v, v.copy(), +1)
-        model = WeightModel(n_max=1, weights=np.array([0.7]))
-        np.testing.assert_array_equal(contrastive_gradient(couple, model), [0.0])
+        couple = couple_of(v, v.copy(), +1)
+        assert np.array_equal(couple.gram, np.zeros((1, 1)))
+        _, grad = contrastive(couple, np.array([0.7]))
+        np.testing.assert_array_equal(grad, [0.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -115,19 +136,38 @@ class TestContrastiveGradient:
 
 
 class TestMedianLoss:
-    def batch(self, rng, size=10, n_max=5, nu=4):
-        couples = [
-            random_couple(rng, nu, n_max, +1 if i < size // 2 else -1, False)
-            for i in range(size)
-        ]
-        w = rng.uniform(0.2, 1.0, size=n_max)
-        return make_minibatch(couples, w, n_max), w, n_max
-
     def test_median_couple_loss_is_ln2(self):
+        # a one-couple batch is its own median: softplus(0) = ln 2
         rng = np.random.default_rng(3)
-        batch, _, _ = self.batch(rng)
-        got = median_loss(batch, batch.median_index, kappa=160.0)
-        assert got == pytest.approx(math.log(2), abs=1e-12)
+        couples, w, _ = random_batch(rng)
+        for couple in couples:
+            got, _ = batch_loss_and_gradient([couple], w, "median", 160.0, 0.0)
+            assert got == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_matches_per_couple_reference(self):
+        def reference_softplus(x):
+            if x > 0:
+                return x + math.log1p(math.exp(-x))
+            return math.log1p(math.exp(x))
+
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            couples, w, _ = random_batch(rng)
+            distances = batch_distances(couples, w)
+            mu = distances[lower_middle(distances)]
+            labels = [c.label for c in couples]
+            l2 = 0.001 * float(w @ w)
+            median = sum(
+                reference_softplus(-160.0 * p * (mu - d))
+                for d, p in zip(distances, labels)
+            ) / len(couples) + l2
+            contrastive = sum(
+                p * d for d, p in zip(distances, labels)
+            ) / len(couples) + l2
+            for loss, expected in (("median", median),
+                                   ("contrastive", contrastive)):
+                got, _ = batch_loss_and_gradient(couples, w, loss, 160.0, 0.001)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_hand_value(self):
         # kappa=1, p=+1, mu=1, d=2: ln(1 + e)
@@ -139,19 +179,38 @@ class TestMedianLoss:
 
     def test_median_index_is_lower_middle(self):
         couples = [
-            Couple(np.array([[float(d)]]), np.array([[0.0]]), +1 if i < 3 else -1)
+            couple_of([[float(d)]], [[0.0]], +1 if i < 3 else -1)
             for i, d in enumerate([5, 1, 3, 2, 4, 6])
         ]
-        batch = make_minibatch(couples, np.array([1.0]), 1)
-        # distances 5,1,3,2,4,6 sorted -> 1,2,3,4,5,6; lower middle is 3
-        assert batch.median_distance == pytest.approx(3.0)
-        assert batch.median_index == 2
+        w = np.array([1.0])
+        # distances 5,1,3,2,4,6 sorted -> 1,2,3,4,5,6; lower middle is 3,
+        # at batch index 2
+        np.testing.assert_allclose(batch_distances(couples, w), [5, 1, 3, 2, 4, 6])
+        free = batch_loss_and_gradient(couples, w, "median", 1.0, 0.001)
+        lower = batch_loss_and_gradient(couples, w, "median", 1.0, 0.001, 2)
+        upper = batch_loss_and_gradient(couples, w, "median", 1.0, 0.001, 3)
+        assert free[0] == lower[0]
+        assert np.array_equal(free[1], lower[1])
+        assert free[0] != upper[0]
+        assert not np.array_equal(free[1], upper[1])
 
-    def test_label_balance_in_training_batches(self):
+    def test_label_balance_in_training_batches(self, monkeypatch):
         rng = np.random.default_rng(4)
-        batch, _, _ = self.batch(rng)
-        labels = [c.label for c in batch.couples]
-        assert labels.count(+1) == labels.count(-1)
+        couples = [
+            random_couple(rng, 4, 5, +1 if i % 3 else -1, False)
+            for i in range(60)
+        ]
+        seen = []
+
+        def recording(batch, *args):
+            seen.append([c.label for c in batch])
+            return batch_loss_and_gradient(batch, *args)
+
+        monkeypatch.setattr(learn_mod, "batch_loss_and_gradient", recording)
+        train_couples(couples, TrainConfig(batch_size=10, n_max=5, max_epochs=2))
+        assert seen
+        for labels in seen:
+            assert labels.count(+1) == labels.count(-1) == 5
 
     def test_monotone_in_margin(self):
         for p in (+1, -1):
@@ -168,9 +227,8 @@ class TestMedianGradient:
     def test_median_couple_gradient_exactly_zero(self):
         rng = np.random.default_rng(5)
         couples, w, n_max = random_batch(rng)
-        batch = make_minibatch(couples, w, n_max)
-        model = WeightModel(n_max=n_max, weights=w)
-        grad = median_gradient(batch, batch.median_index, model, kappa=160.0)
+        median = couples[lower_middle(batch_distances(couples, w))]
+        _, grad = batch_loss_and_gradient([median], w, "median", 160.0, 0.0)
         assert np.array_equal(grad, np.zeros(n_max))
 
     def test_matches_finite_differences(self):
@@ -178,15 +236,16 @@ class TestMedianGradient:
         checked = 0
         while checked < 20:
             couples, w, n_max = random_batch(rng)
-            batch = make_minibatch(couples, w, n_max)
-            spread = np.abs(batch.distances - batch.median_distance)
-            if np.any((spread < 1e-6) & (np.arange(len(couples)) != batch.median_index)):
+            distances = batch_distances(couples, w)
+            median_index = lower_middle(distances)
+            spread = np.abs(distances - distances[median_index])
+            if np.any((spread < 1e-6) & (np.arange(len(couples)) != median_index)):
                 continue
-            if np.any(batch.distances < 1e-6):
+            if np.any(distances < 1e-6):
                 continue
-            fd = fd_gradient(couples, w, "median", 20.0, 0.001, batch.median_index)
+            fd = fd_gradient(couples, w, "median", 20.0, 0.001, median_index)
             _, grad = batch_loss_and_gradient(
-                couples, w, "median", 20.0, 0.001, batch.median_index
+                couples, w, "median", 20.0, 0.001, median_index
             )
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
             checked += 1
@@ -194,15 +253,60 @@ class TestMedianGradient:
     def test_vanishes_linearly_with_kappa(self):
         rng = np.random.default_rng(7)
         couples, w, n_max = random_batch(rng)
-        batch = make_minibatch(couples, w, n_max)
-        model = WeightModel(n_max=n_max, weights=w)
-        idx = (batch.median_index + 1) % len(couples)
+        median_index = lower_middle(batch_distances(couples, w))
         norms = [
-            np.linalg.norm(median_gradient(batch, idx, model, kappa))
+            np.linalg.norm(
+                batch_loss_and_gradient(
+                    couples, w, "median", kappa, 0.0, median_index
+                )[1]
+            )
             for kappa in (1e-3, 1e-4, 1e-5)
         ]
         assert norms[0] == pytest.approx(10 * norms[1], rel=1e-2)
         assert norms[1] == pytest.approx(10 * norms[2], rel=1e-2)
+
+
+class TestCoupleGram:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_max=st.integers(1, 12),
+        dim=st.integers(5, 12),
+        len_a=st.integers(1, 18),
+        len_b=st.integers(1, 18),
+    )
+    def test_distance_matches_represent_learned(
+        self, seed, n_max, dim, len_a, len_b
+    ):
+        # training's sqrt(w^T G w) and evaluation's distance between the
+        # two learned representations must be the same distance
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(24)]
+        table = EmbeddingTable(
+            dimension=dim,
+            entries={t: rng.normal(size=dim) for t in vocab},
+        )
+        idf = compute_idf({t: int(rng.integers(0, 100)) for t in vocab}, 100)
+
+        def text(length):
+            tokens = list(rng.choice(vocab, size=length, replace=False))
+            tokens += [f"oov{i}" for i in range(int(rng.integers(0, 3)))]
+            rng.shuffle(tokens)
+            return NormalizedText(tuple(tokens))
+
+        pair = TextPair(text(len_a), text(len_b), +1)
+        model = WeightModel(n_max=n_max, weights=rng.uniform(0.1, 1.0, n_max))
+        (couple,) = prepare_couples([pair], table, idf, n_max)
+        reps = [
+            represent_learned(sort_by_idf(t, idf), table, model)
+            for t in (pair.text_a, pair.text_b)
+        ]
+        expected = distance(*reps, "euclidean")
+        got = math.sqrt(max(model.weights @ couple.gram @ model.weights, 0.0))
+        if expected == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestSigmoidSoftplus:
@@ -257,7 +361,7 @@ class TestTrain:
             TrainConfig(batch_size=99)
 
     def test_needs_both_labels(self):
-        couples = [Couple(np.ones((2, 2)), np.zeros((2, 2)), +1)] * 10
+        couples = [Couple(np.zeros((2, 2)), +1)] * 10
         with pytest.raises(ValueError, match="per label"):
             train_couples(couples, TrainConfig(batch_size=4, n_max=2))
 

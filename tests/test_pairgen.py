@@ -170,6 +170,12 @@ class TestPairIO:
         assert sink.getvalue() == "1\ta b\tc\n0\td\te f\n"
         assert load_pairs(io.StringIO(sink.getvalue())) == pairs
 
+    def test_rejects_labels_other_than_1_and_0(self):
+        for label in ("2", "yes", "-1"):
+            text = f"1\ta\tb\n{label}\tc\td\n"
+            with pytest.raises(ValueError, match=f"line 2: '{label}'"):
+                load_pairs(io.StringIO(text))
+
     def test_load_articles(self):
         corpus = "One two three.\nFour five.\n\nSix seven!\n"
         articles = load_articles(io.StringIO(corpus))
