@@ -1,14 +1,17 @@
 """Command-line surface for the whole pipeline.
 
 Subcommands: idf-build, pairs-wiki, pairs-tweets, train, grid-kappa,
-eval, baseline-eval, embed.  Every run writes a manifest JSON next to
-its primary output so experiments can be replayed; all randomness flows
-from --seed.  Exit codes: 0 success, 1 usage error, 2 data error.
+eval, baseline-eval, embed.  Every run but embed's writes a manifest
+JSON next to its primary output so experiments can be replayed; pairs-wiki,
+pairs-tweets, train and grid-kappa take all their randomness from
+--seed, and the others use none.  Exit codes: 0 success, 1 usage error,
+2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -34,7 +37,7 @@ from .embeddings import (
     load_embeddings,
     save_doc_freq,
 )
-from .evaluate import evaluate_method, optimal_split
+from .evaluate import evaluate_method
 from .learn import TrainConfig, grid_search_kappa, train
 from .pairgen import (
     PairGenerationError,
@@ -195,11 +198,7 @@ def _write_report(report, args, started, command, inputs):
         with open(args.hist, "w", encoding="utf-8") as fh:
             report.write_histogram_csv(fh)
     _write_manifest(args.report, command, args, inputs, started)
-    print(
-        f"{report.method_name}: split_error={report.split_error:.4f} "
-        f"js={report.js_divergence:.4f} theta={report.theta:.6g}",
-        file=sys.stderr,
-    )
+    print(report.summary(), file=sys.stderr)
 
 
 def cmd_eval(args):
@@ -232,54 +231,19 @@ def cmd_baseline_eval(args):
         val_pairs = load_pairs(fh)
 
     if args.method == "tfidf":
-        def representer(text):
-            return tfidf_vector(text, idf)
-
-        def tfidf_samples(pairs):
-            return [
-                (
-                    tfidf_cosine_distance(
-                        representer(p.text_a), representer(p.text_b)
-                    ),
-                    p.label,
-                )
-                for p in pairs
-            ]
-
-        theta, _ = optimal_split(tfidf_samples(val_pairs))
-        samples = tfidf_samples(test_pairs)
-        from .evaluate import (
-            EvalReport,
-            distance_histograms,
-            js_divergence,
-            split_error,
-        )
-
-        dists = [d for d, _ in samples]
-        labels = [p for _, p in samples]
-        related = [d for d, p in samples if p == +1]
-        nonrel = [d for d, p in samples if p == -1]
-        hist_r, hist_n, edges = distance_histograms(related, nonrel, args.bins)
-        report = EvalReport(
-            method_name="tfidf",
-            theta=float(theta),
-            split_error=split_error(dists, labels, theta),
-            js_divergence=js_divergence(related, nonrel, bins=args.bins),
-            bin_edges=[float(e) for e in edges],
-            histogram_related=[int(c) for c in hist_r],
-            histogram_nonrelated=[int(c) for c in hist_n],
-            n_pairs=len(samples),
-            unrepresentable_count=0,
-        )
+        representer = functools.partial(tfidf_vector, idf=idf)
+        metric = tfidf_cosine_distance
     else:
-        report = evaluate_method(
-            test_pairs,
-            baseline_representer(table, idf, args.method),
-            args.metric,
-            method_name=args.method,
-            val_pairs=val_pairs,
-            bins=args.bins,
-        )
+        representer = baseline_representer(table, idf, args.method)
+        metric = args.metric
+    report = evaluate_method(
+        test_pairs,
+        representer,
+        metric,
+        method_name=args.method,
+        val_pairs=val_pairs,
+        bins=args.bins,
+    )
     _write_report(report, args, started, "baseline-eval",
                   [args.pairs, args.val, args.emb, args.df])
     return 0
@@ -330,7 +294,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("idf-build", help="count document frequencies")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_idf_build)
 
     p = sub.add_parser("pairs-wiki", help="span pairs from a paragraph corpus")
@@ -378,7 +341,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report", required=True)
     p.add_argument("--hist", default=None)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("baseline-eval", help="evaluate a fixed baseline")
@@ -393,7 +355,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report", required=True)
     p.add_argument("--hist", default=None)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_baseline_eval)
 
     p = sub.add_parser("embed", help="print a text's representation as CSV")
@@ -402,7 +363,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default=None)
     p.add_argument("--method", default="mean", choices=BASELINE_METHODS)
     p.add_argument("--text", required=True)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_embed)
 
     return parser

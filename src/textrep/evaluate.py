@@ -4,15 +4,15 @@ two-tailed binomial sign test for comparing methods."""
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Sequence
+from typing import Any, Callable, IO, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
-from .aggregate import Representation, UnrepresentableText, distance
+from .aggregate import UnrepresentableText, distance
 from .pairgen import TextPair
 from .textprep import NormalizedText
 
@@ -31,6 +31,12 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
+
+    def summary(self) -> str:
+        return (
+            f"{self.method_name}: split_error={self.split_error:.4f} "
+            f"js={self.js_divergence:.4f} theta={self.theta:.6g}"
+        )
 
     def write_histogram_csv(self, sink: IO[str]) -> None:
         """Rows "bin_low,bin_high,count_related,count_nonrelated"."""
@@ -137,24 +143,38 @@ def _js_from_counts(counts_p, counts_q, smoothing: float = 1e-12) -> float:
 def binomial_test(n_disagree: int, k_first_better: int) -> float:
     """Exact two-tailed binomial test against p0 = 0.5 on disagreements.
 
-    p = 2 * min(P(X <= k), P(X >= k)), capped at 1.
+    p = 2 * min(P(X <= k), P(X >= k)), capped at 1.  The distribution is
+    symmetric, so this is the sum of C(n, i) for i <= min(k, n - k) over
+    2^(n-1), computed in integers and rounded once.
     """
-    if not 0 <= k_first_better <= n_disagree:
+    n, k = n_disagree, k_first_better
+    if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if n_disagree == 0:
+    if n == 0:
         warnings.warn("binomial test on zero disagreements; p-value is 1")
         return 1.0
-    lower = float(stats.binom.cdf(k_first_better, n_disagree, 0.5))
-    upper = float(stats.binom.sf(k_first_better - 1, n_disagree, 0.5))
-    return min(1.0, 2.0 * min(lower, upper))
+    tail, term = 0, 1  # term = C(n, i)
+    for i in range(min(k, n - k) + 1):
+        tail += term
+        term = term * (n - i) // (i + 1)
+    return min(1.0, tail / 2 ** (n - 1))
+
+
+Metric = Union[str, Callable[[Any, Any], float]]
 
 
 def pair_distances(
     pairs: Sequence[TextPair],
-    representer: Callable[[NormalizedText], Representation],
-    metric: str,
+    representer: Callable[[NormalizedText], Any],
+    metric: Metric,
 ) -> tuple[list[tuple[float, int]], list[TextPair]]:
-    """Distances for representable pairs plus the unrepresentable leftovers."""
+    """Distances for representable pairs plus the unrepresentable leftovers.
+
+    ``metric`` names a ``distance`` metric or is a function of two
+    representations.
+    """
+    if isinstance(metric, str):
+        metric = functools.partial(distance, metric=metric)
     samples = []
     unrepresentable = []
     for pair in pairs:
@@ -164,14 +184,14 @@ def pair_distances(
         except UnrepresentableText:
             unrepresentable.append(pair)
             continue
-        samples.append((distance(rep_a, rep_b, metric), pair.label))
+        samples.append((metric(rep_a, rep_b), pair.label))
     return samples, unrepresentable
 
 
 def evaluate_method(
     test_pairs: Sequence[TextPair],
-    representer: Callable[[NormalizedText], Representation],
-    metric: str,
+    representer: Callable[[NormalizedText], Any],
+    metric: Metric,
     method_name: str = "method",
     val_pairs: Optional[Sequence[TextPair]] = None,
     theta: Optional[float] = None,

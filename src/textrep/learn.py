@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("batch_size must be even and >= 2")
         if not self.eta_reduced < self.eta_initial:
             raise ValueError("eta_reduced must be below eta_initial")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
 
 @dataclass

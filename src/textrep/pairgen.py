@@ -43,7 +43,6 @@ class TweetRecord:
     text: str
     hashtags: frozenset[str]
     timestamp: int
-    author: str
 
 
 def jaccard(a: set, b: set) -> float:
@@ -238,20 +237,26 @@ def tweet_pairs(
 
 
 def load_tweets(source: IO[str]) -> list[TweetRecord]:
-    """Line-delimited JSON records: text, hashtags, timestamp, author."""
+    """Line-delimited JSON objects with text, hashtags and timestamp;
+    other keys are ignored."""
     records = []
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        records.append(
-            TweetRecord(
-                text=doc["text"],
-                hashtags=frozenset(t.lower() for t in doc["hashtags"]),
-                timestamp=int(doc["timestamp"]),
-                author=doc.get("author", ""),
+        try:
+            doc = json.loads(line)
+            records.append(
+                TweetRecord(
+                    text=doc["text"],
+                    hashtags=frozenset(t.lower() for t in doc["hashtags"]),
+                    timestamp=int(doc["timestamp"]),
+                )
             )
-        )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed tweet record, line {lineno}: need a JSON object "
+                f"with text, hashtags and timestamp ({exc!r})"
+            ) from exc
     return records
 
 

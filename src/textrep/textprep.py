@@ -37,11 +37,9 @@ class NormalizedText:
 
 @dataclass(frozen=True)
 class SortedText:
-    """Tokens reordered to descending idf, with the source permutation."""
+    """Tokens reordered to descending idf."""
 
     tokens: tuple[str, ...]
-    source_positions: tuple[int, ...]
-    idf_values: tuple[float, ...]
 
 
 def _is_punctuation(ch: str) -> bool:
@@ -81,10 +79,5 @@ def sort_by_idf(text: NormalizedText, idf: IdfTable) -> SortedText:
     Ties keep original relative order, so the output is deterministic
     for any input.
     """
-    values = [idf.idf_of(t) for t in text.tokens]
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    return SortedText(
-        tokens=tuple(text.tokens[i] for i in order),
-        source_positions=tuple(order),
-        idf_values=tuple(values[i] for i in order),
-    )
+    ordered = sorted(text.tokens, key=idf.idf_of, reverse=True)
+    return SortedText(tokens=tuple(ordered))

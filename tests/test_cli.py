@@ -1,11 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textrep
+from textrep.aggregate import tfidf_cosine_distance, tfidf_vector
 from textrep.cli import dispatch
-from textrep.embeddings import save_doc_freq, save_embeddings
-from textrep.pairgen import save_pairs
+from textrep.embeddings import (
+    compute_idf,
+    load_doc_freq,
+    save_doc_freq,
+    save_embeddings,
+)
+from textrep.evaluate import (
+    distance_histograms,
+    js_divergence,
+    optimal_split,
+    split_error,
+)
+from textrep.pairgen import load_pairs, save_pairs
 
 from synth import make_pairs, split_pairs
 
@@ -42,6 +59,16 @@ class TestIdfBuild:
         assert "the\t3" in lines
         assert "cat\t1" in lines
         assert (tmp_path / "df.tsv.manifest.json").exists()
+
+    def test_takes_no_seed(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat\n")
+        out = tmp_path / "df.tsv"
+        assert run("idf-build", "--corpus", corpus, "--out", out,
+                   "--seed", 1) == 1
+        assert run("idf-build", "--corpus", corpus, "--out", out) == 0
+        manifest = json.loads((tmp_path / "df.tsv.manifest.json").read_text())
+        assert manifest["seed"] is None
 
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert run("idf-build", "--corpus", tmp_path / "nope.txt",
@@ -158,6 +185,45 @@ class TestTrainEval:
             report = json.loads(report_path.read_text())
             assert 0.0 <= report["split_error"] <= 1.0
 
+    def test_baseline_eval_tfidf_report(self, workdir, tmp_path):
+        report_path = tmp_path / "tfidf.json"
+        assert run(
+            "baseline-eval", "--pairs", workdir / "test.tsv",
+            "--val", workdir / "val.tsv",
+            "--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
+            "--method", "tfidf", "--bins", 20, "--report", report_path,
+        ) == 0
+        with open(workdir / "df.tsv") as fh:
+            idf = compute_idf(*load_doc_freq(fh))
+
+        def samples(split):
+            with open(workdir / f"{split}.tsv") as fh:
+                pairs = load_pairs(fh)
+            return [
+                (tfidf_cosine_distance(tfidf_vector(p.text_a, idf),
+                                       tfidf_vector(p.text_b, idf)), p.label)
+                for p in pairs
+            ]
+
+        theta, _ = optimal_split(samples("val"))
+        test = samples("test")
+        distances = [d for d, _ in test]
+        labels = [p for _, p in test]
+        related = [d for d, p in test if p == +1]
+        nonrelated = [d for d, p in test if p == -1]
+        hist_r, hist_n, edges = distance_histograms(related, nonrelated, 20)
+        assert json.loads(report_path.read_text()) == {
+            "method_name": "tfidf",
+            "theta": theta,
+            "split_error": split_error(distances, labels, theta),
+            "js_divergence": js_divergence(related, nonrelated, 20),
+            "bin_edges": edges.tolist(),
+            "histogram_related": hist_r.tolist(),
+            "histogram_nonrelated": hist_n.tolist(),
+            "n_pairs": len(test),
+            "unrepresentable_count": 0,
+        }
+
 
 class TestGridKappa:
     def test_writes_scores(self, workdir, tmp_path):
@@ -219,3 +285,41 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "'v999'" in err and "'v1'" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("record", [
+        {"text": "a b c d e #x", "hashtags": ["x"]},
+        [1, 2],
+    ], ids=["missing_timestamp", "not_an_object"])
+    def test_malformed_tweet_record(self, tmp_path, capsys, record):
+        tweets = tmp_path / "tweets.jsonl"
+        good = {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": 0}
+        tweets.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        assert run("pairs-tweets", "--tweets", tweets,
+                   "--out", tmp_path / "p.tsv", "--count", 1) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_nmax_below_one(self, workdir, tmp_path, capsys):
+        common = ("--pairs", workdir / "train.tsv", "--emb",
+                  workdir / "vec.txt", "--df", workdir / "df.tsv",
+                  "--nmax", 0, "--batch", 20, "--max-epochs", 2)
+        for command in ("train", "grid-kappa"):
+            out = tmp_path / f"{command}.json"
+            assert run(command, *common, "--out", out) == 2
+            assert "n_max must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
+class TestImport:
+    def test_loads_no_scipy(self):
+        src = str(Path(textrep.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        code = ("import sys, textrep.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

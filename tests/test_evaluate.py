@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textrep.aggregate import baseline_representer
 from textrep.evaluate import (
@@ -144,6 +146,22 @@ class TestJsDivergence:
         assert js_divergence(a, b) == pytest.approx(js_divergence(b, a), abs=1e-12)
 
 
+def binomial_reference(n, k):
+    """2 min(P(X <= k), P(X >= k)) for X ~ Bin(n, 1/2), capped at 1, exact."""
+    lower = Fraction(sum(math.comb(n, i) for i in range(k + 1)), 2**n)
+    upper = Fraction(sum(math.comb(n, i) for i in range(k, n + 1)), 2**n)
+    return min(Fraction(1), 2 * min(lower, upper))
+
+
+def n_and_k(n_min=1, below_half=False):
+    """(n, k) with n_min <= n <= 2000 and 0 <= k <= n, or k < n // 2."""
+    return st.integers(n_min, 2000).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, n // 2 - 1 if below_half else n)
+        )
+    )
+
+
 class TestBinomialTest:
     def test_balanced_is_one(self):
         assert binomial_test(10, 5) == 1.0
@@ -163,6 +181,37 @@ class TestBinomialTest:
             assert binomial_test(10, k) == pytest.approx(
                 binomial_test(10, 10 - k), abs=1e-12
             )
+
+    def test_hand_value(self):
+        # C(20, 0) + ... + C(20, 5) = 1 + 20 + 190 + 1140 + 4845 + 15504
+        assert binomial_test(20, 5) == 2 * 21700 / 2**20
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_and_k())
+    def test_equals_exact_definition(self, nk):
+        n, k = nk
+        assert binomial_test(n, k) == float(binomial_reference(n, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_and_k())
+    def test_exactly_symmetric(self, nk):
+        n, k = nk
+        assert binomial_test(n, k) == binomial_test(n, n - k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_and_k(n_min=2, below_half=True))
+    def test_non_decreasing_up_to_half(self, nk):
+        n, k = nk
+        assert binomial_test(n, k) <= binomial_test(n, k + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_and_k())
+    def test_in_unit_interval(self, nk):
+        n, k = nk
+        # The exact value is at least 2^(1-n), which rounds to 0 only
+        # below the smallest positive double, 2^-1074.
+        lowest = 0.0 if n > 1075 else math.nextafter(0.0, 1.0)
+        assert lowest <= binomial_test(n, k) <= 1.0
 
 
 class TestEvaluateMethod:

@@ -360,6 +360,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=99)
 
+    def test_rejects_n_max_below_one(self):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                TrainConfig(n_max=n_max)
+
     def test_needs_both_labels(self):
         couples = [Couple(np.zeros((2, 2)), +1)] * 10
         with pytest.raises(ValueError, match="per label"):

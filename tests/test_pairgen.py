@@ -83,9 +83,8 @@ class TestWikiPairs:
             assert 10 <= len(p.text_b.tokens) <= 30
 
 
-def tweet(text, tags, ts, author="n"):
-    return TweetRecord(text=text, hashtags=frozenset(tags), timestamp=ts,
-                       author=author)
+def tweet(text, tags, ts):
+    return TweetRecord(text=text, hashtags=frozenset(tags), timestamp=ts)
 
 
 def mixed_corpus(per_tag=6):
