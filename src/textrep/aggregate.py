@@ -124,21 +124,6 @@ def interpolation_matrix(m: int, n_max: int) -> np.ndarray:
     return matrix
 
 
-def _embedding_matrix(
-    tokens, table: EmbeddingTable
-) -> tuple[np.ndarray, list[int]]:
-    """Stack in-vocabulary vectors, returning the kept source indices."""
-    rows, kept = [], []
-    for i, token in enumerate(tokens):
-        vec = table.lookup(token)
-        if vec is not None:
-            rows.append(vec)
-            kept.append(i)
-    if not rows:
-        return np.empty((0, table.dimension)), kept
-    return np.stack(rows), kept
-
-
 def represent_learned(
     text: SortedText, table: EmbeddingTable, model: WeightModel
 ) -> Representation:
@@ -147,14 +132,12 @@ def represent_learned(
     OOV tokens are dropped; texts with more than n_max surviving tokens
     keep their n_max highest-idf ones (the sequence is already sorted).
     """
-    matrix, kept = _embedding_matrix(text.tokens, table)
-    if not kept:
+    ids = table.row_ids(text.tokens)[: model.n_max]
+    if not ids:
         raise UnrepresentableText(text.tokens)
-    if len(kept) > model.n_max:
-        matrix = matrix[: model.n_max]
-    m = matrix.shape[0]
+    m = len(ids)
     z = interpolation_matrix(m, model.n_max) @ model.weights
-    vector = (z @ matrix) / m
+    vector = (z @ table.vectors[ids]) / m
     return Representation(vector=vector, used_tokens=m)
 
 
@@ -168,21 +151,16 @@ def represent_baseline(
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
 
-    tokens = list(text.tokens)
-    if method.endswith("_top30"):
-        in_vocab = [t for t in tokens if t in table]
-        if not in_vocab:
-            raise UnrepresentableText(tokens)
-        keep = max(1, math.ceil(0.3 * len(in_vocab)))
-        ranked = sorted(
-            range(len(in_vocab)), key=lambda i: -idf.idf_of(in_vocab[i])
-        )
-        tokens = [in_vocab[i] for i in sorted(ranked[:keep])]
-
-    matrix, kept = _embedding_matrix(tokens, table)
-    if not kept:
+    rows = table.rows
+    tokens = [t for t in text.tokens if t in rows]
+    if not tokens:
         raise UnrepresentableText(text.tokens)
-    m = matrix.shape[0]
+    if method.endswith("_top30"):
+        keep = max(1, math.ceil(0.3 * len(tokens)))
+        ranked = sorted(range(len(tokens)), key=lambda i: -idf.idf_of(tokens[i]))
+        tokens = [tokens[i] for i in sorted(ranked[:keep])]
+    matrix = table.vectors[[rows[t] for t in tokens]]
+    m = len(tokens)
 
     base = method.replace("_top30", "")
     if base == "mean":
@@ -194,7 +172,7 @@ def represent_baseline(
     elif base in ("minmax_concat", "minmax"):
         vector = np.concatenate([matrix.min(axis=0), matrix.max(axis=0)])
     elif base == "idf_weighted_mean":
-        values = np.array([idf.idf_of(tokens[i]) for i in kept])
+        values = np.array([idf.idf_of(t) for t in tokens])
         vector = (values @ matrix) / m
     else:  # pragma: no cover - guarded by BASELINE_METHODS
         raise ValueError(method)

@@ -84,12 +84,15 @@ def _write_manifest(out_path, command: str, args: argparse.Namespace,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _load_idf(args):
+    with open(args.df, "r", encoding="utf-8") as fh:
+        return compute_idf(*load_doc_freq(fh))
+
+
 def _load_tables(args):
     with open(args.emb, "r", encoding="utf-8") as fh:
         table = load_embeddings(fh)
-    with open(args.df, "r", encoding="utf-8") as fh:
-        doc_freq, corpus_size = load_doc_freq(fh)
-    return table, compute_idf(doc_freq, corpus_size)
+    return table, _load_idf(args)
 
 
 def cmd_idf_build(args):
@@ -224,18 +227,21 @@ def cmd_eval(args):
 
 def cmd_baseline_eval(args):
     started = time.monotonic()
-    table, idf = _load_tables(args)
+    # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
+    if args.method == "tfidf":
+        idf = _load_idf(args)
+        representer = functools.partial(tfidf_vector, idf=idf)
+        metric = tfidf_cosine_distance
+        inputs = [args.pairs, args.val, args.df]
+    else:
+        table, idf = _load_tables(args)
+        representer = baseline_representer(table, idf, args.method)
+        metric = args.metric
+        inputs = [args.pairs, args.val, args.emb, args.df]
     with open(args.pairs, "r", encoding="utf-8") as fh:
         test_pairs = load_pairs(fh)
     with open(args.val, "r", encoding="utf-8") as fh:
         val_pairs = load_pairs(fh)
-
-    if args.method == "tfidf":
-        representer = functools.partial(tfidf_vector, idf=idf)
-        metric = tfidf_cosine_distance
-    else:
-        representer = baseline_representer(table, idf, args.method)
-        metric = args.metric
     report = evaluate_method(
         test_pairs,
         representer,
@@ -244,8 +250,7 @@ def cmd_baseline_eval(args):
         val_pairs=val_pairs,
         bins=args.bins,
     )
-    _write_report(report, args, started, "baseline-eval",
-                  [args.pairs, args.val, args.emb, args.df])
+    _write_report(report, args, started, "baseline-eval", inputs)
     return 0
 
 
@@ -385,3 +390,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

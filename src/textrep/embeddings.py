@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -20,26 +20,40 @@ class EmbeddingParseError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> dense vector map with fixed dimensionality."""
+    """Immutable token -> row map over one read-only (rows, dim) matrix.
 
-    dimension: int
-    entries: dict[str, np.ndarray]
+    ``vectors[rows[token]]`` is the token's embedding.  Absence is a
+    value, not an error: no default vector is ever substituted and no
+    case folding happens here.
+    """
+
+    rows: dict[str, int]
+    vectors: np.ndarray
     duplicate_warnings: int = 0
+
+    def __post_init__(self):
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.rows):
+            raise ValueError(
+                f"expected a ({len(self.rows)}, dim) matrix, got shape "
+                f"{self.vectors.shape}"
+            )
+        self.vectors.flags.writeable = False
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def lookup(self, token: str) -> Optional[np.ndarray]:
-        """Return the stored vector for ``token`` or None when absent.
-
-        Absence is a value, not an error; no default vector is ever
-        substituted and no case folding happens here.
-        """
-        return self.entries.get(token)
+    def row_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Rows of the in-vocabulary tokens, in order; OOV tokens are dropped."""
+        get = self.rows.get
+        return [i for i in map(get, tokens) if i is not None]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.rows
 
 
 @dataclass(frozen=True)
@@ -84,11 +98,19 @@ def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
     return IdfTable(corpus_size=corpus_size, doc_freq=dict(doc_freq), idf=idf)
 
 
+# Lines parsed per np.loadtxt call: large enough to amortize the call,
+# small enough that a block's strings stay a few MB.
+BLOCK_LINES = 2048
+
+
 def load_embeddings(source: IO[str]) -> EmbeddingTable:
     """Parse word2vec textual format: header "<count> <dim>", then rows.
 
-    Duplicate tokens keep the first occurrence; every duplicate bumps
-    ``duplicate_warnings`` on the returned table.
+    Values are plain decimal floats, parsed in blocks by numpy.  The file
+    must hold exactly ``count`` rows, duplicates included; duplicate
+    tokens keep the first occurrence and each one bumps
+    ``duplicate_warnings`` on the returned table.  Blank lines are
+    skipped.
     """
     header = source.readline()
     parts = header.split()
@@ -100,44 +122,112 @@ def load_embeddings(source: IO[str]) -> EmbeddingTable:
         raise EmbeddingParseError(f"malformed header line: {header!r}") from exc
     if dimension < 1:
         raise EmbeddingParseError(f"dimension must be positive, got {dimension}")
+    try:
+        matrix = np.empty((declared_count, dimension))
+    except (MemoryError, ValueError) as exc:
+        raise EmbeddingParseError(
+            f"cannot allocate the declared {declared_count} x {dimension} "
+            f"matrix: {exc}"
+        ) from exc
 
-    entries: dict[str, np.ndarray] = {}
-    duplicates = 0
+    rows: dict[str, int] = {}
+    read = 0
+    # The pending block: value strings, their line numbers, and the block
+    # positions of first occurrences (the rows the matrix keeps).
+    values: list[str] = []
+    linenos: list[int] = []
+    kept: list[int] = []
+
+    def flush() -> None:
+        if not values:
+            return
+        block = _parse_block(values, linenos, dimension)
+        start = len(rows) - len(kept)
+        matrix[start : len(rows)] = (
+            block if len(kept) == len(values) else block[kept]
+        )
+        values.clear()
+        linenos.clear()
+        kept.clear()
+
     for lineno, line in enumerate(source, start=2):
-        if not line.strip():
+        fields = line.split(None, 1)
+        if not fields:
             continue
-        fields = line.split()
-        token = fields[0]
-        if len(fields) - 1 != dimension:
+        read += 1
+        if read > declared_count:
+            read += sum(1 for rest in source if rest.strip())
+            break
+        if len(fields) == 1:
+            flush()  # earlier lines are reported first
             raise EmbeddingParseError(
                 f"dimension mismatch, line {lineno}: expected {dimension} "
-                f"components, got {len(fields) - 1}"
+                f"components, got 0"
             )
-        try:
-            vector = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingParseError(f"unparseable value, line {lineno}") from exc
-        if not np.all(np.isfinite(vector)):
-            raise EmbeddingParseError(f"non-finite value, line {lineno}")
-        if token in entries:
-            duplicates += 1
-            continue
-        entries[token] = vector
-        vector.flags.writeable = False
+        token = fields[0]
+        if token not in rows:
+            kept.append(len(values))
+            rows[token] = len(rows)
+        values.append(fields[1])
+        linenos.append(lineno)
+        if len(values) == BLOCK_LINES:
+            flush()
+    flush()
 
-    if not entries:
+    if read != declared_count:
+        raise EmbeddingParseError(
+            f"header declares {declared_count} rows, but the file has {read}"
+        )
+    if not rows:
         raise EmbeddingParseError("empty vocabulary")
+    matrix.flags.writeable = False
     return EmbeddingTable(
-        dimension=dimension, entries=entries, duplicate_warnings=duplicates
+        rows=rows,
+        vectors=matrix[: len(rows)],
+        duplicate_warnings=read - len(rows),
     )
 
 
-def save_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
-    """Write the table back out in word2vec textual format (6 sig. digits)."""
-    sink.write(f"{table.vocabulary_size} {table.dimension}\n")
-    for token, vector in table.entries.items():
-        comps = " ".join(f"{v:.6g}" for v in vector)
-        sink.write(f"{token} {comps}\n")
+def _parse_values(values: list[str]) -> np.ndarray:
+    # comments=None: a "#" is a bad value, not the end of the row.
+    return np.loadtxt(values, dtype=np.float64, ndmin=2, comments=None)
+
+
+def _parse_block(
+    values: list[str], linenos: list[int], dimension: int
+) -> np.ndarray:
+    """The (len(values), dimension) matrix of one block of value strings.
+
+    Only a bad block is re-parsed line by line, so that its first bad
+    line is reported with its number.
+    """
+    try:
+        block = _parse_values(values)
+    except ValueError:
+        pass
+    else:
+        if block.shape == (len(values), dimension) and np.isfinite(block).all():
+            return block
+    return np.concatenate([
+        _parse_line(value, lineno, dimension)
+        for value, lineno in zip(values, linenos)
+    ])
+
+
+def _parse_line(value: str, lineno: int, dimension: int) -> np.ndarray:
+    count = len(value.split())
+    if count != dimension:
+        raise EmbeddingParseError(
+            f"dimension mismatch, line {lineno}: expected {dimension} "
+            f"components, got {count}"
+        )
+    try:
+        row = _parse_values([value])
+    except ValueError as exc:
+        raise EmbeddingParseError(f"unparseable value, line {lineno}") from exc
+    if not np.all(np.isfinite(row)):
+        raise EmbeddingParseError(f"non-finite value, line {lineno}")
+    return row
 
 
 def load_doc_freq(source: IO[str]) -> tuple[dict[str, int], int]:

@@ -165,14 +165,12 @@ def prepare_couples(
     """
     couples = []
     for pair in pairs:
-        sides = []
-        for text in (pair.text_a, pair.text_b):
-            sorted_text = sort_by_idf(text, idf)
-            rows = [table.lookup(t) for t in sorted_text.tokens]
-            rows = [r for r in rows if r is not None][:n_max]
-            sides.append(rows)
-        if sides[0] and sides[1]:
-            gram = couple_gram(np.stack(sides[0]), np.stack(sides[1]), n_max)
+        ids_a, ids_b = (
+            table.row_ids(sort_by_idf(text, idf).tokens)[:n_max]
+            for text in (pair.text_a, pair.text_b)
+        )
+        if ids_a and ids_b:
+            gram = couple_gram(table.vectors[ids_a], table.vectors[ids_b], n_max)
             couples.append(Couple(gram=gram, label=pair.label))
     return couples
 

@@ -8,6 +8,8 @@ by construction: topic words get low document frequency, stopwords high.
 
 from __future__ import annotations
 
+from typing import IO
+
 import numpy as np
 
 from textrep.embeddings import EmbeddingTable, compute_idf
@@ -19,6 +21,22 @@ WORDS_PER_TOPIC = 30
 N_STOPWORDS = 50
 DIM = 20
 CORPUS_SIZE = 1000
+
+
+def table_from(entries) -> EmbeddingTable:
+    """An EmbeddingTable over a token -> vector mapping, rows in its order."""
+    return EmbeddingTable(
+        rows={token: i for i, token in enumerate(entries)},
+        vectors=np.array(list(entries.values()), dtype=np.float64),
+    )
+
+
+def save_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
+    """Write a table in word2vec textual format (6 significant digits)."""
+    sink.write(f"{table.vocabulary_size} {table.dimension}\n")
+    for token, row in table.rows.items():
+        comps = " ".join(f"{v:.6g}" for v in table.vectors[row])
+        sink.write(f"{token} {comps}\n")
 
 
 def build_world(seed=7, topic_noise=0.3, stop_noise=3.0):
@@ -40,7 +58,7 @@ def build_world(seed=7, topic_noise=0.3, stop_noise=3.0):
         entries[token] = stop_mean + rng.normal(scale=stop_noise, size=DIM)
         stop_vocab.append(token)
 
-    table = EmbeddingTable(dimension=DIM, entries=entries)
+    table = table_from(entries)
     doc_freq = {t: 5 for vocab in topic_vocab for t in vocab}
     doc_freq.update({s: 900 for s in stop_vocab})
     idf = compute_idf(doc_freq, CORPUS_SIZE)

@@ -18,7 +18,7 @@ from textrep.aggregate import (
     represent_learned,
 )
 from textrep.cli import dispatch
-from textrep.embeddings import EmbeddingTable, compute_idf, save_doc_freq, save_embeddings
+from textrep.embeddings import compute_idf, save_doc_freq
 from textrep.evaluate import (
     binomial_test,
     evaluate_method,
@@ -36,7 +36,7 @@ from textrep.learn import (
 from textrep.pairgen import TextPair, save_pairs
 from textrep.textprep import NormalizedText, sort_by_idf
 
-from synth import make_pairs, split_pairs
+from synth import make_pairs, save_embeddings, split_pairs, table_from
 from test_evaluate import brute_force_split
 from test_learn import batch_distances, lower_middle
 
@@ -175,7 +175,7 @@ def test_interpolation_identities():
 def test_mean_equivalence():
     rng = np.random.default_rng(3)
     vocab = {f"w{i}": rng.normal(size=6) for i in range(200)}
-    table = EmbeddingTable(dimension=6, entries=vocab)
+    table = table_from(vocab)
     idf = compute_idf(
         {f"w{i}": int(rng.integers(0, 500)) for i in range(200)}, 1000
     )

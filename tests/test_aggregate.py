@@ -17,16 +17,10 @@ from textrep.aggregate import (
     tfidf_cosine_distance,
     tfidf_vector,
 )
-from textrep.embeddings import EmbeddingTable, compute_idf
+from textrep.embeddings import compute_idf
 from textrep.textprep import NormalizedText, sort_by_idf
 
-
-def table_from(entries):
-    dim = len(next(iter(entries.values())))
-    return EmbeddingTable(
-        dimension=dim,
-        entries={k: np.asarray(v, dtype=np.float64) for k, v in entries.items()},
-    )
+from synth import table_from
 
 
 def model_of(weights, metric="euclidean"):

@@ -14,7 +14,6 @@ from textrep.embeddings import (
     compute_idf,
     load_doc_freq,
     save_doc_freq,
-    save_embeddings,
 )
 from textrep.evaluate import (
     distance_histograms,
@@ -24,7 +23,7 @@ from textrep.evaluate import (
 )
 from textrep.pairgen import load_pairs, save_pairs
 
-from synth import make_pairs, split_pairs
+from synth import make_pairs, save_embeddings, split_pairs
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +224,27 @@ class TestTrainEval:
         }
 
 
+    def test_baseline_eval_tfidf_reads_no_embeddings(self, workdir, tmp_path):
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("not an embedding file\n")
+        reports = {}
+        for name, emb in (("real", workdir / "vec.txt"), ("garbage", garbage)):
+            reports[name] = tmp_path / f"{name}.json"
+            assert run(
+                "baseline-eval", "--pairs", workdir / "test.tsv",
+                "--val", workdir / "val.tsv", "--emb", emb,
+                "--df", workdir / "df.tsv", "--method", "tfidf",
+                "--report", reports[name],
+            ) == 0
+        assert reports["garbage"].read_text() == reports["real"].read_text()
+        manifest = json.loads(
+            Path(str(reports["garbage"]) + ".manifest.json").read_text()
+        )
+        assert sorted(manifest["input_digests"]) == sorted(
+            str(workdir / f) for f in ("test.tsv", "val.tsv", "df.tsv")
+        )
+
+
 class TestGridKappa:
     def test_writes_scores(self, workdir, tmp_path):
         out = tmp_path / "kappa.json"
@@ -299,6 +319,21 @@ class TestDataErrors:
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "p.tsv").exists()
 
+    def test_embedding_row_count_below_header(self, workdir, tmp_path,
+                                              capsys):
+        lines = (workdir / "vec.txt").read_text().splitlines(keepends=True)
+        emb = tmp_path / "short.txt"
+        emb.write_text("".join(lines[:-1]))
+        declared = int(lines[0].split()[0])
+        message = f"declares {declared} rows, but the file has {declared - 1}"
+        common = ("--emb", emb, "--df", workdir / "df.tsv")
+        assert run("embed", *common, "--text", "t0w1") == 2
+        assert message in capsys.readouterr().err
+        assert run("train", *common, "--pairs", workdir / "train.tsv",
+                   "--out", tmp_path / "m.json") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_nmax_below_one(self, workdir, tmp_path, capsys):
         common = ("--pairs", workdir / "train.tsv", "--emb",
                   workdir / "vec.txt", "--df", workdir / "df.tsv",
@@ -310,16 +345,24 @@ class TestDataErrors:
             assert not out.exists()
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports textrep from this checkout."""
+    src = str(Path(textrep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
 class TestImport:
     def test_loads_no_scipy(self):
-        src = str(Path(textrep.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
         code = ("import sys, textrep.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert run_python("-c", code).stdout.strip() == "[]"
+
+    def test_runs_as_module(self):
+        proc = run_python("-m", "textrep.cli", "--version")
+        assert proc.stdout.strip() == textrep.__version__

@@ -1,9 +1,12 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from textrep import embeddings
 from textrep.embeddings import (
     EmbeddingParseError,
     compute_idf,
@@ -11,12 +14,42 @@ from textrep.embeddings import (
     load_doc_freq,
     load_embeddings,
     save_doc_freq,
-    save_embeddings,
 )
+
+from synth import save_embeddings
 
 
 def make_table(text):
     return load_embeddings(io.StringIO(text))
+
+
+def vector(table, token):
+    return table.vectors[table.rows[token]]
+
+
+def reference_rows(text):
+    """The word2vec rows of ``text`` parsed one float() at a time; the first
+    occurrence of a token wins."""
+    rows = {}
+    for line in text.split("\n")[1:]:
+        fields = line.split()
+        if fields:
+            rows.setdefault(fields[0], [float(v) for v in fields[1:]])
+    return rows
+
+
+def numbered_file(n_rows, dim=3, bad=None):
+    """A file of ``n_rows`` rows with a blank line after every 100th row;
+    ``bad`` maps a row index to its replacement value string.  Returns the
+    text and the file line number of each row."""
+    lines, linenos = [f"{n_rows} {dim}"], []
+    for i in range(n_rows):
+        values = (bad or {}).get(i, " ".join(["0.5"] * dim))
+        lines.append(f"w{i} {values}")
+        linenos.append(len(lines))
+        if i % 100 == 99:
+            lines.append("")
+    return "\n".join(lines) + "\n", linenos
 
 
 class TestLoadEmbeddings:
@@ -24,7 +57,8 @@ class TestLoadEmbeddings:
         table = make_table("2 3\ncat 1 0 0\ndog 0 1 0\n")
         assert table.dimension == 3
         assert table.vocabulary_size == 2
-        np.testing.assert_array_equal(table.lookup("cat"), [1, 0, 0])
+        np.testing.assert_array_equal(vector(table, "cat"), [1, 0, 0])
+        np.testing.assert_array_equal(table.vectors, [[1, 0, 0], [0, 1, 0]])
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingParseError, match="dimension mismatch, line 2"):
@@ -34,7 +68,8 @@ class TestLoadEmbeddings:
         table = make_table("2 2\ncat 1 2\ncat 3 4\n")
         assert table.vocabulary_size == 1
         assert table.duplicate_warnings == 1
-        np.testing.assert_array_equal(table.lookup("cat"), [1, 2])
+        np.testing.assert_array_equal(vector(table, "cat"), [1, 2])
+        assert table.vectors.shape == (1, 2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(EmbeddingParseError, match="non-finite"):
@@ -54,24 +89,135 @@ class TestLoadEmbeddings:
         sink = io.StringIO()
         save_embeddings(table, sink)
         reloaded = make_table(sink.getvalue())
-        for token, vec in table.entries.items():
-            np.testing.assert_allclose(reloaded.lookup(token), vec, rtol=1e-5)
+        assert reloaded.rows == table.rows
+        np.testing.assert_allclose(reloaded.vectors, table.vectors, rtol=1e-5)
+
+    def test_vectors_read_only(self):
+        table = make_table("2 2\ncat 1 2\ncat 3 4\n")
+        with pytest.raises(ValueError):
+            table.vectors[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            table.vectors.base[0, 0] = 9.0
+
+
+class TestHeaderCount:
+    @pytest.mark.parametrize("text, declared, read", [
+        ("5 2\na 1 2\nb 3 4\n", 5, 2),
+        ("1 2\na 1 2\nb 3 4\n", 1, 2),
+        ("1 2\na 1 2\n\na 3 4\n\n", 1, 2),
+        ("3 2\n", 3, 0),
+    ], ids=["too_few", "too_many", "duplicates_count", "no_rows"])
+    def test_mismatch_names_both_counts(self, text, declared, read):
+        with pytest.raises(EmbeddingParseError,
+                           match=f"declares {declared} rows, but the file "
+                                 f"has {read}$"):
+            make_table(text)
+
+    def test_many_rows_over_a_short_header(self):
+        text, _ = numbered_file(3 * embeddings.BLOCK_LINES)
+        text = "1 3" + text[text.index("\n"):]
+        with pytest.raises(EmbeddingParseError,
+                           match=f"has {3 * embeddings.BLOCK_LINES}$"):
+            make_table(text)
+
+    @pytest.mark.parametrize("header", [
+        "1000000000000000 2",  # MemoryError from np.empty
+        "1000000000000000000 300",  # ValueError: larger than any array
+        "-1 2",  # ValueError: negative dimensions
+    ])
+    def test_impossible_header_is_a_data_error(self, header):
+        with pytest.raises(EmbeddingParseError, match="cannot allocate"):
+            make_table(header + "\na 1 2\n")
+
+
+class TestBulkParse:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        block=st.integers(1, 4),
+        rows=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]),
+                      st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=6, max_size=6)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_repr_rows_load_bit_equal_to_float(self, dim, block, rows):
+        text = f"{len(rows)} {dim}\n" + "".join(
+            f"{token} " + " ".join(repr(v) for v in values[:dim]) + "\n"
+            for token, values in rows
+        )
+        with mock.patch.object(embeddings, "BLOCK_LINES", block):
+            table = make_table(text)
+        reference = reference_rows(text)
+        assert list(table.rows) == list(reference)
+        assert table.duplicate_warnings == len(rows) - len(reference)
+        expected = np.array(list(reference.values()), dtype=np.float64)
+        assert table.vectors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        ("0.5 x 0.5", "unparseable value"),
+        ("0.5 0.5", "dimension mismatch"),
+        ("0.5 inf 0.5", "non-finite value"),
+    ], ids=["bad_value", "short_row", "non_finite"])
+    def test_error_past_first_block_names_true_line(self, value, message):
+        bad = embeddings.BLOCK_LINES + 123
+        text, linenos = numbered_file(embeddings.BLOCK_LINES + 500,
+                                      bad={bad: value})
+        with pytest.raises(EmbeddingParseError,
+                           match=f"{message}, line {linenos[bad]}\\b"):
+            make_table(text)
+
+    def test_first_bad_line_of_a_block_wins(self):
+        text, linenos = numbered_file(50, bad={10: "nan 1 1", 20: "1 x 1",
+                                               30: "1 1"})
+        with pytest.raises(EmbeddingParseError,
+                           match=f"non-finite value, line {linenos[10]}$"):
+            make_table(text)
+
+    def test_token_without_values_reported_after_earlier_lines(self):
+        with pytest.raises(EmbeddingParseError, match="unparseable value, line 2"):
+            make_table("3 2\na 1 x\nb\nc 1 2\n")
+        with pytest.raises(EmbeddingParseError,
+                           match="dimension mismatch, line 3: expected 2 "
+                                 "components, got 0"):
+            make_table("3 2\na 1 2\nb\nc 1 2\n")
+
+    def test_blank_lines_tabs_and_trailing_spaces_load(self):
+        text = ("4 3\n\na\t1\t2\t3\n  \nb 4 5 6   \nc\t7 8\t 9 \t\n\n"
+                "d 1 0 1\r\n")
+        table = make_table(text)
+        assert list(table.rows) == ["a", "b", "c", "d"]
+        np.testing.assert_array_equal(
+            table.vectors, [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 0, 1]]
+        )
+
+    @pytest.mark.parametrize("value", ["1_000", "\u0661", "1#5", "#", "0x10"])
+    def test_non_decimal_value_is_unparseable(self, value):
+        with pytest.raises(EmbeddingParseError, match="unparseable value, line 3"):
+            make_table(f"2 2\na 1 2\nb 1 {value}\n")
 
 
 class TestLookup:
     def test_identity(self):
         table = make_table("1 2\ncat 0.5 -1\n")
-        v1 = table.lookup("cat")
-        v2 = table.lookup("cat")
-        assert v1 is v2
+        assert table.row_ids(["cat", "cat"]) == [0, 0]
+        np.testing.assert_array_equal(table.vectors[[0]], [[0.5, -1]])
 
     def test_no_case_folding(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert table.lookup("CAT") is None
+        assert "CAT" not in table
+        assert table.row_ids(["CAT", "cat"]) == [0]
 
     def test_empty_token_absent(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert table.lookup("") is None
+        assert "" not in table
+        assert table.row_ids([""]) == []
+
+    def test_one_row_per_token(self):
+        with pytest.raises(ValueError, match=r"expected a \(2, dim\) matrix"):
+            embeddings.EmbeddingTable(rows={"a": 0, "b": 1},
+                                      vectors=np.zeros((3, 2)))
 
 
 class TestComputeIdf:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import textrep.learn as learn_mod
 from textrep.aggregate import WeightModel, distance, represent_learned
-from textrep.embeddings import EmbeddingTable, compute_idf
+from textrep.embeddings import compute_idf
 from textrep.learn import (
     Couple,
     TrainConfig,
@@ -22,7 +22,7 @@ from textrep.learn import (
 from textrep.pairgen import TextPair
 from textrep.textprep import NormalizedText, sort_by_idf
 
-from synth import make_pairs, split_pairs
+from synth import make_pairs, split_pairs, table_from
 
 
 def couple_of(vectors_a, vectors_b, label, n_max=1):
@@ -282,10 +282,7 @@ class TestCoupleGram:
         # two learned representations must be the same distance
         rng = np.random.default_rng(seed)
         vocab = [f"w{i}" for i in range(24)]
-        table = EmbeddingTable(
-            dimension=dim,
-            entries={t: rng.normal(size=dim) for t in vocab},
-        )
+        table = table_from({t: rng.normal(size=dim) for t in vocab})
         idf = compute_idf({t: int(rng.integers(0, 100)) for t in vocab}, 100)
 
         def text(length):
