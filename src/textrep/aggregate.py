@@ -4,7 +4,9 @@ The learned representer multiplies each idf-rank-sorted embedding with a
 per-rank weight and averages; texts shorter than the weight vector reuse
 it through subsampling with linear interpolation.  The classic baselines
 (mean/max/min, top-30% idf variants, idf-weighted mean, tf-idf) live
-here too so every method is evaluated through one code path.
+here too so every method is evaluated through one code path.  Texts are
+encoded once as idf-sorted embedding row ids and represented in batches,
+grouped by the number of rows they use.
 """
 
 from __future__ import annotations
@@ -13,17 +15,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, IdfTable
-from .textprep import (
-    NORMALIZATION_VERSION,
-    NormalizedText,
-    SortedText,
-    sort_by_idf,
-)
+from .textprep import NORMALIZATION_VERSION, NormalizedText
 
 BASELINE_METHODS = (
     "mean",
@@ -92,8 +89,9 @@ class WeightModel:
 
 @dataclass(frozen=True)
 class Representation:
-    vector: np.ndarray
-    used_tokens: int
+    """One text's vector, as a representer's single-text call returns it."""
+
+    vector: Any
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,59 +122,123 @@ def interpolation_matrix(m: int, n_max: int) -> np.ndarray:
     return matrix
 
 
-def represent_learned(
-    text: SortedText, table: EmbeddingTable, model: WeightModel
-) -> Representation:
-    """Weighted average of the idf-sorted in-vocabulary embeddings.
+# Embedding rows gathered at once when representing a batch: enough to
+# amortize numpy's per-call cost, few enough that a block of dim-300
+# rows stays near 1 MB whatever the batch size.
+GATHER_ROWS = 512
 
-    OOV tokens are dropped; texts with more than n_max surviving tokens
-    keep their n_max highest-idf ones (the sequence is already sorted).
+
+def _idf_by_row(table: EmbeddingTable, idf: IdfTable) -> list[float]:
+    """The idf of each table row's token, indexed by row."""
+    key = [0.0] * table.vocabulary_size
+    for token, row in table.rows.items():
+        key[row] = idf.idf_of(token)
+    return key
+
+
+def _sorted_ids(
+    texts: Iterable[NormalizedText], table: EmbeddingTable, key: list[float]
+) -> list[list[int]]:
+    by_idf = key.__getitem__
+    encoded = []
+    for text in texts:
+        ids = table.row_ids(text.tokens)
+        ids.sort(key=by_idf, reverse=True)
+        encoded.append(ids)
+    return encoded
+
+
+def encode(
+    texts: Iterable[NormalizedText], table: EmbeddingTable, idf: IdfTable
+) -> list[list[int]]:
+    """Each text's in-vocabulary row ids, in descending idf order.
+
+    The sort is stable, so equal idf keeps text order: a text's ids equal
+    ``table.row_ids(sort_by_idf(text, idf).tokens)``.
     """
-    ids = table.row_ids(text.tokens)[: model.n_max]
-    if not ids:
-        raise UnrepresentableText(text.tokens)
-    m = len(ids)
-    z = interpolation_matrix(m, model.n_max) @ model.weights
-    vector = (z @ table.vectors[ids]) / m
-    return Representation(vector=vector, used_tokens=m)
+    return _sorted_ids(texts, table, _idf_by_row(table, idf))
+
+
+def _blocks(
+    encoded: Sequence[Sequence[int]], length: Callable[[int], int]
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """Texts grouped by k = length(m), the rows a text with m ids uses.
+
+    Yields (k, text indices, (k, texts) id matrix) with at most
+    GATHER_ROWS ids per block; texts without ids are left out.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, ids in enumerate(encoded):
+        if ids:
+            groups.setdefault(length(len(ids)), []).append(i)
+    for k, members in groups.items():
+        step = max(1, GATHER_ROWS // k)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            yield k, chunk, np.array([encoded[i][:k] for i in chunk]).T
+
+
+def _representable(encoded: Sequence[Sequence[int]]) -> np.ndarray:
+    return np.array([len(ids) > 0 for ids in encoded], dtype=bool)
+
+
+def represent_learned(
+    encoded: Sequence[Sequence[int]], table: EmbeddingTable, model: WeightModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted averages of encoded texts: (vectors, representable).
+
+    A text keeps its k = min(m, n_max) highest-idf rows V and becomes
+    (P_k w) V / k.  Texts without an in-vocabulary token get a zero row
+    and a False in the mask.
+    """
+    vectors = np.zeros((len(encoded), table.dimension))
+    for k, chunk, ids in _blocks(encoded, lambda m: min(m, model.n_max)):
+        z = interpolation_matrix(k, model.n_max) @ model.weights
+        block = z @ table.vectors[ids].reshape(k, -1)  # (texts * dim,)
+        block /= k
+        vectors[chunk] = block.reshape(len(chunk), -1)
+    return vectors, _representable(encoded)
+
+
+def _top30_count(m: int) -> int:
+    return max(1, math.ceil(0.3 * m))
 
 
 def represent_baseline(
-    text: NormalizedText,
+    encoded: Sequence[Sequence[int]],
     table: EmbeddingTable,
-    idf: IdfTable,
+    row_idf: np.ndarray,
     method: str,
-) -> Representation:
-    """Aggregate in-vocabulary embeddings with one of the fixed baselines."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-baseline aggregates of encoded texts: (vectors, representable).
+
+    The ``_top30`` variants keep the ceil(0.3 m) highest-idf rows, the
+    others all m; ``row_idf`` holds the idf of each table row's token.
+    Texts without an in-vocabulary token get a zero row and a False in
+    the mask.
+    """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-
-    rows = table.rows
-    tokens = [t for t in text.tokens if t in rows]
-    if not tokens:
-        raise UnrepresentableText(text.tokens)
-    if method.endswith("_top30"):
-        keep = max(1, math.ceil(0.3 * len(tokens)))
-        ranked = sorted(range(len(tokens)), key=lambda i: -idf.idf_of(tokens[i]))
-        tokens = [tokens[i] for i in sorted(ranked[:keep])]
-    matrix = table.vectors[[rows[t] for t in tokens]]
-    m = len(tokens)
-
+    length = _top30_count if method.endswith("_top30") else (lambda m: m)
     base = method.replace("_top30", "")
-    if base == "mean":
-        vector = matrix.mean(axis=0)
-    elif base == "max":
-        vector = matrix.max(axis=0)
-    elif base == "min":
-        vector = matrix.min(axis=0)
-    elif base in ("minmax_concat", "minmax"):
-        vector = np.concatenate([matrix.min(axis=0), matrix.max(axis=0)])
-    elif base == "idf_weighted_mean":
-        values = np.array([idf.idf_of(t) for t in tokens])
-        vector = (values @ matrix) / m
-    else:  # pragma: no cover - guarded by BASELINE_METHODS
-        raise ValueError(method)
-    return Representation(vector=vector, used_tokens=m)
+    dim = table.dimension
+    minmax = base in ("minmax_concat", "minmax")
+    vectors = np.zeros((len(encoded), 2 * dim if minmax else dim))
+    for k, chunk, ids in _blocks(encoded, length):
+        rows = table.vectors[ids]  # (k, texts, dim)
+        if base == "mean":
+            vectors[chunk] = rows.mean(axis=0)
+        elif base == "max":
+            vectors[chunk] = rows.max(axis=0)
+        elif base == "min":
+            vectors[chunk] = rows.min(axis=0)
+        elif minmax:
+            vectors[chunk, :dim] = rows.min(axis=0)
+            vectors[chunk, dim:] = rows.max(axis=0)
+        else:  # idf_weighted_mean
+            vectors[chunk] = np.einsum("kt,ktd->td", row_idf[ids], rows) / k
+        del rows  # free the block before the next one is gathered
+    return vectors, _representable(encoded)
 
 
 def tfidf_vector(text: NormalizedText, idf: IdfTable) -> dict[str, float]:
@@ -197,23 +259,56 @@ def tfidf_cosine_distance(x: Mapping[str, float], y: Mapping[str, float]) -> flo
     return 1.0 - dot / (nx * ny)
 
 
-def distance(x: Representation, y: Representation, metric: str) -> float:
-    """Euclidean or cosine distance between two representations."""
-    xv, yv = x.vector, y.vector
+def distance(x, y, metric: str):
+    """Euclidean or cosine distance between two representations, or
+    row-wise between two equally shaped stacks of vectors.
+
+    ``x`` and ``y`` are Representations or arrays whose last axis is the
+    vector; one pair gives a float, stacks give an array.  A zero vector
+    is at cosine distance 1 from every vector.
+    """
+    xv = np.asarray(getattr(x, "vector", x))
+    yv = np.asarray(getattr(y, "vector", y))
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
     if metric == "euclidean":
-        return float(np.linalg.norm(xv - yv))
-    if metric == "cosine":
-        nx, ny = np.linalg.norm(xv), np.linalg.norm(yv)
-        if nx == 0.0 or ny == 0.0:
-            return 1.0
-        return float(1.0 - (xv @ yv) / (nx * ny))
-    raise ValueError(f"unknown metric {metric!r}")
+        diff = xv - yv
+        d = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    elif metric == "cosine":
+        nx = np.sqrt(np.einsum("...i,...i->...", xv, xv))
+        ny = np.sqrt(np.einsum("...i,...i->...", yv, yv))
+        dot = np.einsum("...i,...i->...", xv, yv)
+        zero = (nx == 0.0) | (ny == 0.0)
+        d = np.where(zero, 1.0, 1.0 - dot / np.where(zero, 1.0, nx * ny))
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return float(d) if d.ndim == 0 else d
 
 
-def learned_representer(table: EmbeddingTable, idf: IdfTable, model: WeightModel):
-    """Closure NormalizedText -> Representation for the learned model.
+@dataclass(frozen=True)
+class Representer:
+    """One text-to-vector kernel behind a batch and a single-text entry.
+
+    ``batch(texts)`` returns (vectors, representable): one vector per
+    text and a boolean mask of the texts that have a representation.
+    Calling the representer on one text runs the same kernel on a
+    one-text batch; it returns the text's Representation or raises
+    UnrepresentableText.
+    """
+
+    batch: Callable[[Sequence[NormalizedText]], tuple[Any, np.ndarray]]
+
+    def __call__(self, text: NormalizedText) -> Representation:
+        vectors, representable = self.batch([text])
+        if not representable[0]:
+            raise UnrepresentableText(text.tokens)
+        return Representation(vectors[0])
+
+
+def learned_representer(
+    table: EmbeddingTable, idf: IdfTable, model: WeightModel
+) -> Representer:
+    """The learned model as a Representer.
 
     The model must have been trained on text normalized the way
     ``textprep.normalize`` does it now.
@@ -224,20 +319,30 @@ def learned_representer(table: EmbeddingTable, idf: IdfTable, model: WeightModel
             f"{model.normalization_version!r}, but this textrep normalizes "
             f"text as {NORMALIZATION_VERSION!r}"
         )
-
-    def represent(text: NormalizedText) -> Representation:
-        return represent_learned(sort_by_idf(text, idf), table, model)
-
-    return represent
+    key = _idf_by_row(table, idf)
+    return Representer(lambda texts: represent_learned(
+        _sorted_ids(texts, table, key), table, model))
 
 
-def baseline_representer(table: EmbeddingTable, idf: IdfTable, method: str):
-    """Closure NormalizedText -> Representation for a fixed baseline."""
+def baseline_representer(
+    table: EmbeddingTable, idf: IdfTable, method: str
+) -> Representer:
+    """A fixed baseline as a Representer."""
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline method {method!r}")
+    key = _idf_by_row(table, idf)
+    row_idf = np.array(key)
+    return Representer(lambda texts: represent_baseline(
+        _sorted_ids(texts, table, key), table, row_idf, method))
 
-    def represent(text: NormalizedText) -> Representation:
-        return represent_baseline(text, table, idf, method)
 
-    return represent
+def tfidf_representer(idf: IdfTable) -> Representer:
+    """tf-idf as a Representer: sparse dict vectors, every text
+    representable (an empty text is the zero vector)."""
+    return Representer(lambda texts: (
+        [tfidf_vector(text, idf) for text in texts],
+        np.ones(len(texts), dtype=bool),
+    ))
 
 
 def load_model(path) -> WeightModel:

@@ -11,7 +11,6 @@ pairs-tweets, train and grid-kappa take all their randomness from
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -27,7 +26,7 @@ from .aggregate import (
     load_model,
     save_model,
     tfidf_cosine_distance,
-    tfidf_vector,
+    tfidf_representer,
 )
 from .embeddings import (
     EmbeddingParseError,
@@ -230,7 +229,7 @@ def cmd_baseline_eval(args):
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
     if args.method == "tfidf":
         idf = _load_idf(args)
-        representer = functools.partial(tfidf_vector, idf=idf)
+        representer = tfidf_representer(idf)
         metric = tfidf_cosine_distance
         inputs = [args.pairs, args.val, args.df]
     else:

@@ -67,10 +67,10 @@ class IdfTable:
     corpus_size: int
     doc_freq: dict[str, int]
     idf: dict[str, float] = field(default_factory=dict)
+    default_idf: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def default_idf(self) -> float:
-        return math.log(self.corpus_size)
+    def __post_init__(self):
+        object.__setattr__(self, "default_idf", math.log(self.corpus_size))
 
     def idf_of(self, token: str) -> float:
         """idf for any token, with the df = 0 convention for unknowns."""
@@ -231,12 +231,16 @@ def _parse_line(value: str, lineno: int, dimension: int) -> np.ndarray:
 
 
 def load_doc_freq(source: IO[str]) -> tuple[dict[str, int], int]:
-    """Read the df TSV: first line "N<TAB><int>", then token<TAB>df rows."""
+    """Read the df TSV: first line "N<TAB><int>", then token<TAB>df rows.
+
+    Counts must be integers and each token may appear once; a violation
+    is a ValueError naming its line.
+    """
     first = source.readline()
     fields = first.rstrip("\n").split("\t")
     if len(fields) != 2 or fields[0] != "N":
         raise ValueError(f"malformed df header line: {first!r}")
-    corpus_size = int(fields[1])
+    corpus_size = _count(fields[1], 1)
     doc_freq = {}
     for lineno, line in enumerate(source, start=2):
         if not line.strip():
@@ -244,8 +248,20 @@ def load_doc_freq(source: IO[str]) -> tuple[dict[str, int], int]:
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 2:
             raise ValueError(f"malformed df row, line {lineno}: {line!r}")
-        doc_freq[fields[0]] = int(fields[1])
+        token, count = fields
+        if token in doc_freq:
+            raise ValueError(f"duplicate df token {token!r}, line {lineno}")
+        doc_freq[token] = _count(count, lineno)
     return doc_freq, corpus_size
+
+
+def _count(value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"non-integer df count, line {lineno}: {value!r}"
+        ) from None
 
 
 def save_doc_freq(doc_freq: Mapping[str, int], corpus_size: int, sink: IO[str]) -> None:

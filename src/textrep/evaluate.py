@@ -4,7 +4,6 @@ two-tailed binomial sign test for comparing methods."""
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -12,9 +11,8 @@ from typing import Any, Callable, IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .aggregate import UnrepresentableText, distance
+from .aggregate import Representer, distance
 from .pairgen import TextPair
-from .textprep import NormalizedText
 
 
 @dataclass
@@ -162,35 +160,48 @@ def binomial_test(n_disagree: int, k_first_better: int) -> float:
 
 Metric = Union[str, Callable[[Any, Any], float]]
 
+# Pairs represented per batch: enough for large length groups, few enough
+# that a batch's vectors stay near 2 MB at 600 components per text.
+PAIRS_PER_BATCH = 256
+
 
 def pair_distances(
     pairs: Sequence[TextPair],
-    representer: Callable[[NormalizedText], Any],
+    representer: Representer,
     metric: Metric,
 ) -> tuple[list[tuple[float, int]], list[TextPair]]:
     """Distances for representable pairs plus the unrepresentable leftovers.
 
-    ``metric`` names a ``distance`` metric or is a function of two
-    representations.
+    Pairs are represented PAIRS_PER_BATCH at a time, both sides through
+    one ``representer.batch`` call.  ``metric`` names a ``distance``
+    metric, computed for the whole batch in one call, or is a function of
+    two vectors, applied pair by pair.  Both lists keep the order of
+    ``pairs``.
     """
-    if isinstance(metric, str):
-        metric = functools.partial(distance, metric=metric)
     samples = []
     unrepresentable = []
-    for pair in pairs:
-        try:
-            rep_a = representer(pair.text_a)
-            rep_b = representer(pair.text_b)
-        except UnrepresentableText:
-            unrepresentable.append(pair)
-            continue
-        samples.append((metric(rep_a, rep_b), pair.label))
+    for start in range(0, len(pairs), PAIRS_PER_BATCH):
+        batch = pairs[start : start + PAIRS_PER_BATCH]
+        n = len(batch)
+        vectors, representable = representer.batch(
+            [pair.text_a for pair in batch] + [pair.text_b for pair in batch]
+        )
+        both = representable[:n] & representable[n:]
+        kept = np.flatnonzero(both).tolist()
+        if isinstance(metric, str):
+            # Unrepresentable texts have zero rows; their distances are
+            # dropped.
+            d = distance(vectors[:n], vectors[n:], metric)[both].tolist()
+        else:
+            d = [metric(vectors[i], vectors[n + i]) for i in kept]
+        samples += [(dist, batch[i].label) for dist, i in zip(d, kept)]
+        unrepresentable += [pair for pair, ok in zip(batch, both) if not ok]
     return samples, unrepresentable
 
 
 def evaluate_method(
     test_pairs: Sequence[TextPair],
-    representer: Callable[[NormalizedText], Any],
+    representer: Representer,
     metric: Metric,
     method_name: str = "method",
     val_pairs: Optional[Sequence[TextPair]] = None,

@@ -20,10 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregate import WeightModel, interpolation_matrix
+from .aggregate import WeightModel, encode, interpolation_matrix
 from .embeddings import EmbeddingTable, IdfTable
 from .pairgen import TextPair
-from .textprep import sort_by_idf
 
 
 @dataclass(frozen=True)
@@ -158,19 +157,21 @@ def prepare_couples(
     idf: IdfTable,
     n_max: int,
 ) -> list[Couple]:
-    """Sort, OOV-filter and truncate pairs, then reduce each to the Gram
-    matrix of its distance.
+    """Encode and truncate pairs, then reduce each to the Gram matrix of
+    its distance.
 
     Pairs where either side has no in-vocabulary token are dropped.
     """
+    n = len(pairs)
+    encoded = encode(
+        [pair.text_a for pair in pairs] + [pair.text_b for pair in pairs],
+        table, idf,
+    )
     couples = []
-    for pair in pairs:
-        ids_a, ids_b = (
-            table.row_ids(sort_by_idf(text, idf).tokens)[:n_max]
-            for text in (pair.text_a, pair.text_b)
-        )
+    for pair, ids_a, ids_b in zip(pairs, encoded, encoded[n:]):
         if ids_a and ids_b:
-            gram = couple_gram(table.vectors[ids_a], table.vectors[ids_b], n_max)
+            gram = couple_gram(table.vectors[ids_a[:n_max]],
+                               table.vectors[ids_b[:n_max]], n_max)
             couples.append(Couple(gram=gram, label=pair.label))
     return couples
 

@@ -14,8 +14,6 @@ from textrep.aggregate import (
     baseline_representer,
     interpolation_matrix,
     learned_representer,
-    represent_baseline,
-    represent_learned,
 )
 from textrep.cli import dispatch
 from textrep.embeddings import compute_idf, save_doc_freq
@@ -34,7 +32,7 @@ from textrep.learn import (
     train,
 )
 from textrep.pairgen import TextPair, save_pairs
-from textrep.textprep import NormalizedText, sort_by_idf
+from textrep.textprep import NormalizedText
 
 from synth import make_pairs, save_embeddings, split_pairs, table_from
 from test_evaluate import brute_force_split
@@ -181,13 +179,15 @@ def test_mean_equivalence():
     )
     n_max = 12
     model = WeightModel(n_max=n_max, weights=np.ones(n_max))
+    represent_learned = learned_representer(table, idf, model)
+    represent_mean = baseline_representer(table, idf, "mean")
     worst = 0.0
     for _ in range(1000):
         length = int(rng.integers(1, n_max + 1))
         tokens = tuple(rng.choice(list(vocab), size=length))
         text = NormalizedText(tokens)
-        learned = represent_learned(sort_by_idf(text, idf), table, model)
-        mean = represent_baseline(text, table, idf, "mean")
+        learned = represent_learned(text)
+        mean = represent_mean(text)
         worst = max(worst, np.abs(learned.vector - mean.vector).max())
     check(
         f"mean-equivalence: all-ones weights match mean baseline, worst "

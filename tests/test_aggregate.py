@@ -1,20 +1,23 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from textrep.aggregate import (
+    BASELINE_METHODS,
     Representation,
     UnrepresentableText,
     WeightModel,
+    baseline_representer,
     distance,
+    encode,
     interpolation_matrix,
     learned_representer,
-    represent_baseline,
-    represent_learned,
     tfidf_cosine_distance,
+    tfidf_representer,
     tfidf_vector,
 )
 from textrep.embeddings import compute_idf
@@ -104,41 +107,39 @@ class TestInterpolateWeights:
 
 
 class TestRepresentLearned:
-    def sorted_text(self, tokens, idf):
-        return sort_by_idf(NormalizedText(tuple(tokens)), idf)
+    def rep(self, tokens, table, idf, model):
+        return learned_representer(table, idf, model)(
+            NormalizedText(tuple(tokens))
+        )
 
     def test_uniform_weights_are_mean(self):
         table = table_from({"a": [1, 0], "b": [0, 1]})
         idf = compute_idf({"a": 1, "b": 2}, 10)
         model = model_of([1.0, 1.0])
-        rep = represent_learned(self.sorted_text(["a", "b"], idf), table, model)
+        rep = self.rep(["a", "b"], table, idf, model)
         np.testing.assert_allclose(rep.vector, [0.5, 0.5])
-        assert rep.used_tokens == 2
 
     def test_weighted_sum(self):
         table = table_from({"a": [1, 0], "b": [0, 1]})
         idf = compute_idf({"a": 1, "b": 2}, 10)
         model = model_of([2.0, 0.0])
         # a (df 1) has higher idf than b (df 2): rank 1 and weight 2 go to a
-        rep = represent_learned(self.sorted_text(["a", "b"], idf), table, model)
+        rep = self.rep(["a", "b"], table, idf, model)
         np.testing.assert_allclose(rep.vector, [1.0, 0.0])
 
     def test_all_oov_raises(self):
         table = table_from({"a": [1.0]})
         idf = compute_idf({}, 10)
         with pytest.raises(UnrepresentableText, match="unrepresentable"):
-            represent_learned(self.sorted_text(["x", "y"], idf), table, model_of([1.0]))
+            self.rep(["x", "y"], table, idf, model_of([1.0]))
 
     def test_truncates_to_n_max_highest_idf(self):
         table = table_from({f"w{i}": [float(i)] for i in range(5)})
         idf = compute_idf({f"w{i}": i for i in range(5)}, 100)
         model = model_of([1.0, 1.0])
-        rep = represent_learned(
-            self.sorted_text([f"w{i}" for i in range(5)], idf), table, model
-        )
+        rep = self.rep([f"w{i}" for i in range(5)], table, idf, model)
         # lowest df = highest idf: w0 and w1 survive
         np.testing.assert_allclose(rep.vector, [0.5])
-        assert rep.used_tokens == 2
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)
@@ -146,10 +147,10 @@ class TestRepresentLearned:
         idf = compute_idf({f"w{i}": i for i in range(12)}, 100)
         model = model_of(rng.uniform(0, 1, size=8))
         tokens = [f"w{i}" for i in rng.choice(12, size=8, replace=False)]
-        base = represent_learned(self.sorted_text(tokens, idf), table, model)
+        base = self.rep(tokens, table, idf, model)
         for _ in range(5):
             rng.shuffle(tokens)
-            rep = represent_learned(self.sorted_text(tokens, idf), table, model)
+            rep = self.rep(tokens, table, idf, model)
             np.testing.assert_allclose(rep.vector, base.vector, atol=1e-12)
 
     def test_representer_rejects_other_normalization(self):
@@ -166,8 +167,8 @@ class TestRepresentLearned:
         idf = compute_idf({f"w{i}": i for i in range(6)}, 100)
         w = rng.uniform(0.1, 1, size=6)
         tokens = [f"w{i}" for i in range(4)]
-        r1 = represent_learned(self.sorted_text(tokens, idf), table, model_of(w))
-        r2 = represent_learned(self.sorted_text(tokens, idf), table, model_of(3.0 * w))
+        r1 = self.rep(tokens, table, idf, model_of(w))
+        r2 = self.rep(tokens, table, idf, model_of(3.0 * w))
         np.testing.assert_allclose(r2.vector, 3.0 * r1.vector, atol=1e-12)
 
 
@@ -176,12 +177,10 @@ class TestBaselines:
     idf = compute_idf({"a": 1, "b": 2}, 10)
 
     def rep(self, tokens, method, table=None, idf=None):
-        return represent_baseline(
-            NormalizedText(tuple(tokens)),
-            table or self.table,
-            idf or self.idf,
-            method,
+        representer = baseline_representer(
+            table or self.table, idf or self.idf, method
         )
+        return representer(NormalizedText(tuple(tokens)))
 
     def test_max(self):
         np.testing.assert_allclose(self.rep(["a", "b"], "max").vector, [1, 1])
@@ -197,7 +196,6 @@ class TestBaselines:
         rep = self.rep([f"w{i}" for i in range(10)], "mean_top30", table, idf)
         # ceil(0.3 * 10) = 3 highest-idf tokens: w0, w1, w2
         np.testing.assert_allclose(rep.vector, [1.0])
-        assert rep.used_tokens == 3
 
     def test_idf_weighted_mean(self):
         got = self.rep(["a", "b"], "idf_weighted_mean").vector
@@ -208,6 +206,157 @@ class TestBaselines:
     def test_all_oov_raises(self):
         with pytest.raises(UnrepresentableText):
             self.rep(["zz"], "mean")
+
+
+def reference_learned(text, table, idf, model):
+    """One text's learned vector, computed the scalar way."""
+    ids = table.row_ids(sort_by_idf(text, idf).tokens)[: model.n_max]
+    if not ids:
+        return None
+    z = interpolation_matrix(len(ids), model.n_max) @ model.weights
+    return (z @ table.vectors[ids]) / len(ids)
+
+
+def reference_baseline(text, table, idf, method):
+    """One text's baseline vector, computed the scalar way."""
+    tokens = [t for t in text.tokens if t in table]
+    if not tokens:
+        return None
+    if method.endswith("_top30"):
+        keep = max(1, math.ceil(0.3 * len(tokens)))
+        ranked = sorted(range(len(tokens)), key=lambda i: -idf.idf_of(tokens[i]))
+        tokens = [tokens[i] for i in sorted(ranked[:keep])]
+    matrix = table.vectors[table.row_ids(tokens)]
+    base = method.replace("_top30", "")
+    if base == "mean":
+        return matrix.mean(axis=0)
+    if base == "max":
+        return matrix.max(axis=0)
+    if base == "min":
+        return matrix.min(axis=0)
+    if base.startswith("minmax"):
+        return np.concatenate([matrix.min(axis=0), matrix.max(axis=0)])
+    values = np.array([idf.idf_of(t) for t in tokens])
+    return (values @ matrix) / len(tokens)
+
+
+def assert_close(got, want, tol=1e-12):
+    """Equal within tol, relative to the largest component of ``want``
+    when that exceeds 1 (the worlds below draw unit-scale vectors, so
+    cancelling sums are held to an absolute tol)."""
+    assert got.shape == want.shape
+    scale = max(np.max(np.abs(want), initial=0.0), 1.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * scale
+
+
+@st.composite
+def worlds(draw):
+    """A small table with idf ties, a model, and a batch of texts mixing
+    lengths, repeated tokens, OOV tokens and all-OOV texts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 15)))]
+    dim = draw(st.integers(1, 5))
+    table = table_from({t: rng.normal(size=dim) for t in vocab})
+    # df from a narrow range, so many tokens share an idf
+    idf = compute_idf({t: draw(st.integers(0, 3)) for t in vocab}, 10)
+    n_max = draw(st.integers(1, 8))
+    model = model_of(rng.uniform(-1.0, 1.0, size=n_max))
+    words = st.sampled_from(vocab + ["oov1", "oov2"])
+    texts = draw(st.lists(
+        st.lists(words, max_size=3 * n_max + 2).map(
+            lambda tokens: NormalizedText(tuple(tokens))),
+        min_size=1, max_size=12,
+    ))
+    return table, idf, model, texts
+
+
+class TestEncode:
+    @settings(max_examples=200, deadline=None)
+    @given(worlds())
+    def test_equals_sorted_row_ids(self, world):
+        table, idf, _, texts = world
+        assert encode(texts, table, idf) == [
+            table.row_ids(sort_by_idf(text, idf).tokens) for text in texts
+        ]
+
+    def test_stable_under_ties(self):
+        table = table_from({t: [float(i)] for i, t in enumerate("abcd")})
+        idf = compute_idf({"a": 1, "b": 1, "c": 1, "d": 0}, 10)
+        text = NormalizedText(("c", "x", "a", "d", "b", "a"))
+        # d has the highest idf; the tied a, b, c keep their text order
+        assert encode([text], table, idf) == [[3, 2, 0, 1, 0]]
+
+
+class TestBatchRepresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(worlds())
+    def test_learned_matches_scalar_reference(self, world):
+        table, idf, model, texts = world
+        representer = learned_representer(table, idf, model)
+        vectors, representable = representer.batch(texts)
+        assert vectors.shape == (len(texts), table.dimension)
+        for text, vector, ok in zip(texts, vectors, representable):
+            want = reference_learned(text, table, idf, model)
+            assert ok == (want is not None)
+            if ok:
+                assert_close(vector, want)
+                assert_close(representer(text).vector, vector)
+            else:
+                with pytest.raises(UnrepresentableText):
+                    representer(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(worlds(), st.sampled_from(BASELINE_METHODS))
+    def test_baselines_match_scalar_reference(self, world, method):
+        table, idf, _, texts = world
+        representer = baseline_representer(table, idf, method)
+        vectors, representable = representer.batch(texts)
+        width = 2 * table.dimension if "minmax" in method else table.dimension
+        assert vectors.shape == (len(texts), width)
+        for text, vector, ok in zip(texts, vectors, representable):
+            want = reference_baseline(text, table, idf, method)
+            assert ok == (want is not None)
+            if ok:
+                assert_close(vector, want)
+                assert_close(representer(text).vector, vector)
+
+    def test_tfidf_single_text_is_its_vector(self):
+        idf = compute_idf({"a": 2, "b": 0}, 10)
+        text = NormalizedText(("a", "a", "b"))
+        representer = tfidf_representer(idf)
+        assert representer(text).vector == tfidf_vector(text, idf)
+        vectors, representable = representer.batch([text, NormalizedText(())])
+        assert vectors == [tfidf_vector(text, idf), {}]
+        assert representable.tolist() == [True, True]
+
+    def test_unknown_method_rejected_up_front(self):
+        with pytest.raises(ValueError, match="unknown baseline method"):
+            baseline_representer(TestBaselines.table, TestBaselines.idf, "median")
+
+    def test_peak_memory_beyond_output_is_a_few_mb(self):
+        # n_max tokens per text: every text gathers n_max rows, so an
+        # uncapped gather of the whole batch would take 4000 * 20 * 300 *
+        # 8 bytes = 192 MB.
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(2000)]
+        table = table_from({t: rng.normal(size=300) for t in vocab})
+        idf = compute_idf({t: int(rng.integers(0, 100)) for t in vocab}, 100)
+        model = model_of(rng.uniform(size=20))
+        texts = [NormalizedText(tuple(rng.choice(vocab, size=20)))
+                 for _ in range(4000)]
+        for representer in (learned_representer(table, idf, model),
+                            baseline_representer(table, idf, "mean")):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                vectors, _ = representer.batch(texts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert vectors.nbytes == 4000 * 300 * 8
+            extra = peak - before - vectors.nbytes
+            assert extra < 4 * 2**20, f"{extra / 2**20:.1f} MB"
 
 
 class TestTfidf:
@@ -238,7 +387,7 @@ class TestTfidf:
 
 class TestDistance:
     def r(self, v):
-        return Representation(np.asarray(v, dtype=np.float64), used_tokens=1)
+        return Representation(np.asarray(v, dtype=np.float64))
 
     def test_identity(self):
         x = self.r([1.0, 2.0])
@@ -256,6 +405,29 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             distance(self.r([1]), self.r([1, 2]), "euclidean")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
+           st.sampled_from(["euclidean", "cosine"]))
+    def test_stacks_match_pairs(self, seed, n, dim, metric):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, n, dim))
+        x[rng.random(n) < 0.2] = 0.0
+        y[rng.random(n) < 0.2] = 0.0
+        got = distance(x, y, metric)
+        assert got.shape == (n,)
+        for xi, yi, d in zip(x, y, got):
+            assert d == pytest.approx(
+                distance(self.r(xi), self.r(yi), metric), rel=1e-12, abs=1e-15
+            )
+            nx, ny = math.hypot(*xi), math.hypot(*yi)
+            if metric == "euclidean":
+                assert d == pytest.approx(math.dist(xi, yi), rel=1e-12)
+            elif nx == 0.0 or ny == 0.0:
+                assert d == 1.0
+            else:
+                dot = math.fsum(a * b for a, b in zip(xi, yi))
+                assert d == pytest.approx(1.0 - dot / (nx * ny), abs=1e-12)
 
     def test_euclidean_symmetry_and_triangle(self):
         rng = np.random.default_rng(4)

@@ -288,6 +288,24 @@ class TestDataErrors:
                    "--text", "t0w1") == 2
         assert "exceeds the corpus size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("N\t10\nt0w1\t3\nt0w2\tx\n", "non-integer df count, line 3: 'x'"),
+        ("N\tten\nt0w1\t3\n", "non-integer df count, line 1: 'ten'"),
+        ("N\t10\nt0w1\t3\nt0w1\t5\n", "duplicate df token 't0w1', line 3"),
+    ], ids=["bad_count", "bad_corpus_size", "duplicate_token"])
+    def test_malformed_df_row(self, workdir, tmp_path, capsys, content,
+                              message):
+        df = tmp_path / "df.tsv"
+        df.write_text(content)
+        assert run("embed", "--emb", workdir / "vec.txt", "--df", df,
+                   "--text", "t0w1") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run("eval", "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv", "--emb", workdir / "vec.txt",
+                   "--df", df, "--model", tmp_path / "absent.json",
+                   "--report", tmp_path / "r.json") == 2
+        assert message in capsys.readouterr().err
+
     def test_model_of_other_normalization_version(self, workdir, tmp_path,
                                                   capsys):
         model_path = tmp_path / "model.json"

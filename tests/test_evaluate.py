@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textrep.aggregate import baseline_representer
+import textrep.evaluate as evaluate_mod
+from textrep.aggregate import (
+    UnrepresentableText,
+    baseline_representer,
+    distance,
+)
 from textrep.evaluate import (
     binomial_test,
     distance_histograms,
@@ -288,6 +293,31 @@ class TestEvaluateMethod:
         assert report.histogram_related == hist_r.tolist()
         assert report.histogram_nonrelated == hist_n.tolist()
         assert report.bin_edges == edges.tolist()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_batched_pair_distances_match_per_pair(self, monkeypatch, metric):
+        table, idf, pairs = make_pairs(n_related=20, n_nonrelated=20, seed=2)
+        oov = NormalizedText(("zzz",))
+        pairs = [
+            TextPair(oov, p.text_b, p.label) if i % 7 == 3 else p
+            for i, p in enumerate(pairs)
+        ]
+        representer = baseline_representer(table, idf, "minmax_top30")
+        # batches of 3 pairs, so unrepresentable pairs straddle batches
+        monkeypatch.setattr(evaluate_mod, "PAIRS_PER_BATCH", 3)
+        samples, unrepresentable = pair_distances(pairs, representer, metric)
+        want, skipped = [], []
+        for pair in pairs:
+            try:
+                rep_a, rep_b = representer(pair.text_a), representer(pair.text_b)
+            except UnrepresentableText:
+                skipped.append(pair)
+                continue
+            want.append((distance(rep_a, rep_b, metric), pair.label))
+        assert unrepresentable == skipped and len(skipped) == 6
+        assert [p for _, p in samples] == [p for _, p in want]
+        np.testing.assert_allclose([d for d, _ in samples],
+                                   [d for d, _ in want], rtol=1e-12, atol=0)
 
     def test_histogram_csv_format(self, tmp_path):
         import io

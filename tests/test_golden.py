@@ -2,8 +2,9 @@
 
 ``golden.json`` holds, for a fixed synthetic world, the weights after a
 3-epoch training (full runs are chaotic at kappa = 160) and, for the
-learned model, all 8 baselines and tf-idf, the validation and test pair
-distances, theta and split error.  Changes that only reorder float sums
+learned model, all 8 baselines, tf-idf and the cosine distances of mean
+and minmax_top30, the validation and test pair distances, theta and
+split error.  Changes that only reorder float sums
 must keep weights and distances within 1e-12 relative; split errors and
 pair counts must stay equal.
 
@@ -13,7 +14,6 @@ Regenerate (only when the numerics are meant to change) with
 
 from __future__ import annotations
 
-import functools
 import json
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from textrep.aggregate import (
     baseline_representer,
     learned_representer,
     tfidf_cosine_distance,
-    tfidf_vector,
+    tfidf_representer,
 )
 from textrep.evaluate import evaluate_method, pair_distances
 from textrep.learn import TrainConfig, train
@@ -54,8 +54,10 @@ def compute_golden() -> dict:
     methods = {"learned": (learned_representer(table, idf, model), "euclidean")}
     for method in BASELINE_METHODS:
         methods[method] = (baseline_representer(table, idf, method), "euclidean")
-    methods["tfidf"] = (functools.partial(tfidf_vector, idf=idf),
-                        tfidf_cosine_distance)
+    methods["tfidf"] = (tfidf_representer(idf), tfidf_cosine_distance)
+    for method in ("mean", "minmax_top30"):
+        methods[f"{method}:cosine"] = (baseline_representer(table, idf, method),
+                                       "cosine")
 
     out = {"weights": model.weights.tolist(), "methods": {}}
     for name, (representer, metric) in methods.items():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import textrep.learn as learn_mod
-from textrep.aggregate import WeightModel, distance, represent_learned
+from textrep.aggregate import WeightModel, distance, learned_representer
 from textrep.embeddings import compute_idf
 from textrep.learn import (
     Couple,
@@ -20,7 +20,7 @@ from textrep.learn import (
     train_couples,
 )
 from textrep.pairgen import TextPair
-from textrep.textprep import NormalizedText, sort_by_idf
+from textrep.textprep import NormalizedText
 
 from synth import make_pairs, split_pairs, table_from
 
@@ -294,10 +294,8 @@ class TestCoupleGram:
         pair = TextPair(text(len_a), text(len_b), +1)
         model = WeightModel(n_max=n_max, weights=rng.uniform(0.1, 1.0, n_max))
         (couple,) = prepare_couples([pair], table, idf, n_max)
-        reps = [
-            represent_learned(sort_by_idf(t, idf), table, model)
-            for t in (pair.text_a, pair.text_b)
-        ]
+        represent = learned_representer(table, idf, model)
+        reps = [represent(t) for t in (pair.text_a, pair.text_b)]
         expected = distance(*reps, "euclidean")
         got = math.sqrt(max(model.weights @ couple.gram @ model.weights, 0.0))
         if expected == 0.0:
