@@ -44,7 +44,11 @@ class UnrepresentableText(ValueError):
 
 @dataclass
 class WeightModel:
-    """Learned per-rank weights plus the distance metric they were fit for."""
+    """Learned per-rank weights.
+
+    ``metric`` is always "euclidean": the training loss is built on
+    Euclidean distances, so the weights are fit for no other metric.
+    """
 
     n_max: int
     weights: np.ndarray
@@ -62,8 +66,10 @@ class WeightModel:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        if self.metric not in ("euclidean", "cosine"):
-            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.metric != "euclidean":
+            raise ValueError(
+                f"model metric must be 'euclidean', got {self.metric!r}"
+            )
 
     def to_json(self) -> str:
         doc = {

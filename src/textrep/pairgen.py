@@ -132,11 +132,13 @@ def wiki_pairs(
     return pairs + negatives
 
 
-def _tweet_words(record: TweetRecord) -> tuple[str, ...]:
-    """Normalized word tokens excluding hashtag words (mentions and URLs
-    are already dropped by normalize)."""
+def _tweet_words(
+    record: TweetRecord, tokens: tuple[str, ...]
+) -> tuple[str, ...]:
+    """The tweet's normalized tokens excluding hashtag words (mentions and
+    URLs are already dropped by normalize)."""
     tags = {t.lower() for t in record.hashtags}
-    return tuple(t for t in normalize(record.text).tokens if t not in tags)
+    return tuple(t for t in tokens if t not in tags)
 
 
 def _clean_tags(record: TweetRecord) -> frozenset[str]:
@@ -160,22 +162,21 @@ def tweet_pairs(
     rng = random.Random(seed)
     prepared = []
     for record in tweets:
-        words = _tweet_words(record)
-        prepared.append((record, words, set(words), _clean_tags(record)))
+        tokens = normalize(record.text).tokens
+        words = _tweet_words(record, tokens)
+        prepared.append(
+            (record, words, set(words), _clean_tags(record), tokens)
+        )
 
     rejections = {"rule1_words": 0, "rule2_hashtags": 0, "rule3_time": 0,
                   "rule4_overlap": 0}
 
     def emit(pa, pb, label):
-        (_, words_a, _, tags_a) = pa
-        (_, words_b, _, tags_b) = pb
+        (_, _, _, tags_a, all_a) = pa
+        (_, _, _, tags_b, all_b) = pb
         overlap = tags_a & tags_b
-        tokens_a = tuple(
-            t for t in normalize(pa[0].text).tokens if t not in overlap
-        )
-        tokens_b = tuple(
-            t for t in normalize(pb[0].text).tokens if t not in overlap
-        )
+        tokens_a = tuple(t for t in all_a if t not in overlap)
+        tokens_b = tuple(t for t in all_b if t not in overlap)
         if not tokens_a or not tokens_b:
             return None
         return TextPair(NormalizedText(tokens_a), NormalizedText(tokens_b), label)

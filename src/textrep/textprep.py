@@ -42,8 +42,22 @@ class SortedText:
     tokens: tuple[str, ...]
 
 
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("P", "S")
+class _PunctuationTable(dict):
+    """``str.translate`` table that deletes punctuation and symbols.
+
+    Maps a code point to None when its Unicode category is P* or S* and
+    to itself otherwise.  Each code point is looked up on first sight and
+    stored, so no table is built at import and the entries only ever
+    record fixed Unicode facts.
+    """
+
+    def __missing__(self, code: int):
+        kept = None if unicodedata.category(chr(code))[0] in "PS" else code
+        self[code] = kept
+        return kept
+
+
+_DROP_PUNCTUATION = _PunctuationTable()
 
 
 def _replace_digit_run(match: re.Match, text: str) -> str:
@@ -69,7 +83,7 @@ def normalize(raw: str) -> NormalizedText:
         kept.append(piece.lstrip("#"))
     text = " ".join(kept).lower()
     text = _DIGIT_RUN.sub(lambda m: _replace_digit_run(m, text), text)
-    text = "".join(ch for ch in text if not _is_punctuation(ch))
+    text = text.translate(_DROP_PUNCTUATION)
     return NormalizedText(tokens=tuple(text.split()))
 
 

@@ -26,9 +26,9 @@ from textrep.textprep import NormalizedText, sort_by_idf
 from synth import table_from
 
 
-def model_of(weights, metric="euclidean"):
+def model_of(weights):
     w = np.asarray(weights, dtype=np.float64)
-    return WeightModel(n_max=len(w), weights=w, metric=metric)
+    return WeightModel(n_max=len(w), weights=w)
 
 
 def interpolate(model, m):

@@ -324,6 +324,34 @@ class TestDataErrors:
         assert "'v999'" in err and "'v1'" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("metric", ["cosine", "manhattan"])
+    def test_model_of_non_euclidean_metric(self, workdir, tmp_path, capsys,
+                                           metric):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_max": 2, "weights": [1.0, 0.5], "metric": metric,
+            "normalization_version": "v1", "metadata": {},
+        }))
+        message = f"error: model metric must be 'euclidean', got '{metric}'\n"
+        common = ("--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
+                  "--model", model_path)
+        assert run("embed", *common, "--text", "t0w1 s3") == 2
+        assert capsys.readouterr().err == message
+        assert run("eval", *common, "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv",
+                   "--report", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r.json").exists()
+
+    def test_model_without_metric_is_euclidean(self, workdir, tmp_path,
+                                               capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
+        assert run("embed", "--emb", workdir / "vec.txt",
+                   "--df", workdir / "df.tsv", "--model", model_path,
+                   "--text", "t0w1 s3") == 0
+        assert len(capsys.readouterr().out.split(",")) == 20
+
     @pytest.mark.parametrize("record", [
         {"text": "a b c d e #x", "hashtags": ["x"]},
         [1, 2],

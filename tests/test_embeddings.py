@@ -15,8 +15,13 @@ from textrep.embeddings import (
     load_embeddings,
     save_doc_freq,
 )
+from textrep.textprep import normalize
 
 from synth import save_embeddings
+
+# Single tokens as idf-build writes them: normalized, without whitespace.
+normalized_token = st.text(min_size=1).map(
+    lambda raw: "".join(normalize(raw).tokens)).filter(bool)
 
 
 def make_table(text):
@@ -263,6 +268,15 @@ class TestDocFreqIO:
         loaded, n = load_doc_freq(io.StringIO(sink.getvalue()))
         assert loaded == df
         assert n == 42
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.integers(1, 10**9).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(normalized_token, st.integers(0, n)))))
+    def test_round_trip_property(self, data):
+        corpus_size, df = data
+        sink = io.StringIO()
+        save_doc_freq(df, corpus_size, sink)
+        assert load_doc_freq(io.StringIO(sink.getvalue())) == (df, corpus_size)
 
     def test_count_doc_freq(self):
         docs = [["a", "b", "a"], ["b", "c"], ["a"]]

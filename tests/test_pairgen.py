@@ -2,7 +2,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from textrep import pairgen
 from textrep.pairgen import (
     PairGenerationError,
     TextPair,
@@ -15,7 +17,11 @@ from textrep.pairgen import (
     tweet_pairs,
     wiki_pairs,
 )
-from textrep.textprep import NormalizedText
+from textrep.textprep import NormalizedText, normalize
+
+# Non-empty token tuples as normalize emits them.
+normalized_tokens = st.text(min_size=1).map(
+    lambda raw: normalize(raw).tokens).filter(bool)
 
 
 class TestJaccard:
@@ -148,6 +154,36 @@ class TestTweetPairs:
         labels = [p.label for p in p1]
         assert labels.count(+1) == labels.count(-1) == 5
 
+    def test_normalizes_each_tweet_once(self, monkeypatch):
+        calls = []
+
+        def counting_normalize(raw):
+            calls.append(raw)
+            return normalize(raw)
+
+        monkeypatch.setattr(pairgen, "normalize", counting_normalize)
+        tweets = mixed_corpus()
+        pairs = tweet_pairs(tweets, 3, seed=1)
+        assert calls == [t.text for t in tweets]
+        # Related pairs lose their shared tag; non-related ones keep theirs.
+        expected = [
+            (1, "quakeaa quakeab quakeac quakead quakeae",
+             "quakeda quakedb quakedc quakedd quakede"),
+            (1, "stormfa stormfb stormfc stormfd stormfe",
+             "stormda stormdb stormdc stormdd stormde"),
+            (1, "quakeba quakebb quakebc quakebd quakebe",
+             "quakeaa quakeab quakeac quakead quakeae"),
+            (-1, "quakeda quakedb quakedc quakedd quakede quake",
+             "stormaa stormab stormac stormad stormae storm"),
+            (-1, "quakeea quakeeb quakeec quakeed quakeee quake",
+             "stormaa stormab stormac stormad stormae storm"),
+            (-1, "stormca stormcb stormcc stormcd stormce storm",
+             "quakefa quakefb quakefc quakefd quakefe quake"),
+        ]
+        got = [(p.label, " ".join(p.text_a.tokens), " ".join(p.text_b.tokens))
+               for p in pairs]
+        assert got == expected
+
     def test_noninformative_tags_ignored(self):
         # a #breaking tag must not break the hashtag-Jaccard >= 0.5 rule
         tweets = mixed_corpus()
@@ -167,6 +203,16 @@ class TestPairIO:
         sink = io.StringIO()
         save_pairs(pairs, sink)
         assert sink.getvalue() == "1\ta b\tc\n0\td\te f\n"
+        assert load_pairs(io.StringIO(sink.getvalue())) == pairs
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(normalized_tokens, normalized_tokens,
+                                   st.sampled_from([+1, -1]))))
+    def test_round_trip_property(self, rows):
+        pairs = [TextPair(NormalizedText(a), NormalizedText(b), label)
+                 for a, b, label in rows]
+        sink = io.StringIO()
+        save_pairs(pairs, sink)
         assert load_pairs(io.StringIO(sink.getvalue())) == pairs
 
     def test_rejects_labels_other_than_1_and_0(self):

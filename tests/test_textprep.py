@@ -1,7 +1,56 @@
+import re
+import unicodedata
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from textrep.embeddings import compute_idf
-from textrep.textprep import NormalizedText, normalize, sort_by_idf
+from textrep.textprep import (
+    NORMALIZATION_VERSION,
+    NormalizedText,
+    normalize,
+    sort_by_idf,
+)
+
+
+def reference_normalize(raw):
+    """normalize's v1 output, one character category lookup at a time."""
+    kept = [
+        piece.lstrip("#")
+        for piece in raw.split()
+        if not re.match(r"^(https?://|www\.|@)", piece, re.IGNORECASE)
+    ]
+    text = " ".join(kept).lower()
+
+    def digit_run(match):
+        before = text[match.start() - 1] if match.start() > 0 else ""
+        after = text[match.end()] if match.end() < len(text) else ""
+        if before.isalpha() or after.isalpha():
+            return "0"
+        return " 0 "
+
+    text = re.sub(r"[0-9]+", digit_run, text)
+    text = "".join(
+        ch for ch in text if unicodedata.category(ch)[0] not in ("P", "S")
+    )
+    return tuple(text.split())
+
+
+# Pieces that exercise every rule: URLs and mentions (any case), hashtags,
+# digit runs beside letters and punctuation, non-ASCII digits, letters
+# whose lowercase differs in length, and punctuation or symbols.
+PIECES = [
+    "http://a.io/x?y=1", "HTTPS://B.c", "www.x.org", "WWW.Y", "@user", "@",
+    "#tag", "##Tag", "#", "#1", "12", "3.14", "a1.2b", "b2b", "1st", "x9",
+    "...", "\u2014", "\u201cq\u201d", "!", "$5", "\u00fc", "\u0130", "\u00df",
+    "\u03a3", "\u0663", "\u00b2", "\u00bd", "\U0001f600",
+]
+SEPARATORS = ["", " ", "\t", "\n", "\u3000", "\xa0", "\x1c"]
+crafted_texts = st.lists(
+    st.tuples(st.sampled_from(PIECES) | st.text(max_size=4),
+              st.sampled_from(SEPARATORS)),
+    max_size=12,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
 
 
 class TestNormalize:
@@ -22,7 +71,28 @@ class TestNormalize:
         got = normalize("RT @user check https://x.io/a?b=1 #Breaking now")
         assert got.tokens == ("rt", "check", "breaking", "now")
 
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.text() | crafted_texts)
+    def test_matches_reference(self, raw):
+        tokens = normalize(raw).tokens
+        assert tokens == reference_normalize(raw)
+        for token in tokens:
+            assert token
+            for ch in token:
+                assert not ch.isspace()
+                assert unicodedata.category(ch)[0] not in ("P", "S")
+
+    def test_not_idempotent_across_digit_runs(self):
+        # v1 maps each digit run to "0" before it removes the punctuation
+        # between runs.  Changing that changes output, so it would need a
+        # new NORMALIZATION_VERSION and would refuse every v1 model.
+        assert NORMALIZATION_VERSION == "v1"
+        assert normalize("a1.2b").tokens == ("a00b",)
+        assert normalize("a00b").tokens == ("a0b",)
+
     def test_idempotent(self):
+        # Holds on these samples, not in general: digit runs split by
+        # punctuation merge (test_not_idempotent_across_digit_runs).
         samples = [
             "Hello, World 42!",
             "A.B. 2015--2016",
