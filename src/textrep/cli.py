@@ -139,7 +139,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         loss=args.loss,
         kappa=args.kappa,
-        lam=getattr(args, "lam", 0.001),
+        lam=args.lam,
         batch_size=args.batch,
         eta_initial=args.eta,
         eta_reduced=args.eta_reduced,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, IO, Optional, Sequence, Union
+from typing import Any, Callable, IO, Sequence, Union
 
 import numpy as np
 
@@ -49,55 +49,49 @@ class EvalReport:
 def split_error(
     distances: Sequence[float], labels: Sequence[int], theta: float
 ) -> float:
-    """Fraction misclassified by "related iff d <= theta" (ties related)."""
-    wrong = sum(
-        1
-        for d, p in zip(distances, labels)
-        if (d <= theta) != (p == +1)
-    )
+    """Fraction misclassified by "related iff d <= theta" (ties related);
+    an infinite distance (an unrepresentable pair) is never related."""
+    related = np.asarray(labels) == +1
+    wrong = np.count_nonzero((np.asarray(distances) <= theta) != related)
     return wrong / len(distances)
 
 
-def optimal_split(samples: Sequence[tuple[float, int]]) -> tuple[float, float]:
+def optimal_split(
+    distances: Sequence[float], labels: Sequence[int]
+) -> tuple[float, float]:
     """Threshold minimizing the misclassification count, by exhaustive scan.
 
-    Candidate cuts are the n+1 positions of the sorted distances; the
-    returned theta is the midpoint of the straddling distances (or one
-    unit outside the range at the extremes).
+    Candidate cuts are the n+1 positions of the stably sorted distances;
+    the first cut with the fewest errors wins.  The returned theta is the
+    midpoint of the straddling distances (or one unit outside the range at
+    the extremes).
     """
-    if not samples:
+    distances = np.asarray(distances, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = len(distances)
+    if n == 0:
         raise ValueError("empty sample set")
-    labels = {p for _, p in samples}
-    if labels != {+1, -1}:
+    if set(np.unique(labels).tolist()) != {+1, -1}:
         raise ValueError("need at least one distance of each label")
 
-    ordered = sorted(samples, key=lambda s: s[0])
-    n = len(ordered)
-    n_related = sum(1 for _, p in ordered if p == +1)
-
-    # wrong(k) = related beyond the cut + non-related within it, where the
+    order = np.argsort(distances, kind="stable")
+    ordered = distances[order]
+    # wrong[k] = related beyond the cut + non-related within it, where the
     # cut places the first k sorted samples on the "related" side.
-    best_wrong = None
-    best_cut = 0
-    related_within = 0
-    for k in range(n + 1):
-        wrong = (n_related - related_within) + (k - related_within)
-        if best_wrong is None or wrong < best_wrong:
-            # Cuts that fall between equal distances are unrealizable: no
-            # theta separates identical values.
-            if k == 0 or k == n or ordered[k - 1][0] < ordered[k][0]:
-                best_wrong = wrong
-                best_cut = k
-        if k < n and ordered[k][1] == +1:
-            related_within += 1
+    within = np.concatenate(([0], np.cumsum(labels[order] == +1)))
+    wrong = (within[-1] - within) + (np.arange(n + 1) - within)
+    # Cuts that fall between equal distances are unrealizable: no theta
+    # separates identical values.  Rank them above every realizable cut.
+    wrong[1:n][ordered[:-1] == ordered[1:]] = n + 1
+    best_cut = int(np.argmin(wrong))
 
     if best_cut == 0:
-        theta = ordered[0][0] - 1.0
+        theta = ordered[0] - 1.0
     elif best_cut == n:
-        theta = ordered[-1][0] + 1.0
+        theta = ordered[-1] + 1.0
     else:
-        theta = (ordered[best_cut - 1][0] + ordered[best_cut][0]) / 2.0
-    return theta, best_wrong / n
+        theta = (ordered[best_cut - 1] + ordered[best_cut]) / 2.0
+    return float(theta), int(wrong[best_cut]) / n
 
 
 def distance_histograms(
@@ -109,8 +103,8 @@ def distance_histograms(
         raise ValueError("bins must be >= 2")
     if len(related_d) == 0 or len(nonrelated_d) == 0:
         raise ValueError("both distance sequences must be non-empty")
-    pooled = list(related_d) + list(nonrelated_d)
-    lo, hi = min(pooled), max(pooled)
+    lo = min(np.min(related_d), np.min(nonrelated_d))
+    hi = max(np.max(related_d), np.max(nonrelated_d))
     if lo == hi:
         hi = lo + 1.0  # degenerate range: everything in bin 0 for both
     hist_r, edges = np.histogram(related_d, bins=bins, range=(lo, hi))
@@ -169,34 +163,36 @@ def pair_distances(
     pairs: Sequence[TextPair],
     representer: Representer,
     metric: Metric,
-) -> tuple[list[tuple[float, int]], list[TextPair]]:
-    """Distances for representable pairs plus the unrepresentable leftovers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, labels) arrays in the order of ``pairs``.
 
-    Pairs are represented PAIRS_PER_BATCH at a time, both sides through
-    one ``representer.batch`` call.  ``metric`` names a ``distance``
-    metric, computed for the whole batch in one call, or is a function of
-    two vectors, applied pair by pair.  Both lists keep the order of
-    ``pairs``.
+    An unrepresentable pair is at distance +inf; a representable pair
+    whose distance is not finite raises ValueError, so +inf only ever
+    means unrepresentable.  Pairs are represented PAIRS_PER_BATCH at a
+    time, both sides through one ``representer.batch`` call.  ``metric``
+    names a ``distance`` metric, computed for the whole batch in one call,
+    or is a function of two vectors, applied pair by pair.
     """
-    samples = []
-    unrepresentable = []
+    distances = np.full(len(pairs), np.inf)
+    labels = np.array([pair.label for pair in pairs], dtype=np.int64)
     for start in range(0, len(pairs), PAIRS_PER_BATCH):
         batch = pairs[start : start + PAIRS_PER_BATCH]
         n = len(batch)
         vectors, representable = representer.batch(
             [pair.text_a for pair in batch] + [pair.text_b for pair in batch]
         )
-        both = representable[:n] & representable[n:]
-        kept = np.flatnonzero(both).tolist()
+        kept = np.flatnonzero(representable[:n] & representable[n:])
         if isinstance(metric, str):
             # Unrepresentable texts have zero rows; their distances are
             # dropped.
-            d = distance(vectors[:n], vectors[n:], metric)[both].tolist()
+            d = distance(vectors[:n], vectors[n:], metric)[kept]
         else:
-            d = [metric(vectors[i], vectors[n + i]) for i in kept]
-        samples += [(dist, batch[i].label) for dist, i in zip(d, kept)]
-        unrepresentable += [pair for pair, ok in zip(batch, both) if not ok]
-    return samples, unrepresentable
+            d = np.array([metric(vectors[i], vectors[n + i]) for i in kept])
+        if not np.isfinite(d).all():
+            raise ValueError("non-finite distance for representable pair "
+                             f"{start + kept[~np.isfinite(d)][0]} (0-based)")
+        distances[start + kept] = d
+    return distances, labels
 
 
 def evaluate_method(
@@ -204,37 +200,30 @@ def evaluate_method(
     representer: Representer,
     metric: Metric,
     method_name: str = "method",
-    val_pairs: Optional[Sequence[TextPair]] = None,
-    theta: Optional[float] = None,
+    *,
+    val_pairs: Sequence[TextPair],
     bins: int = 100,
 ) -> EvalReport:
     """Score one representation method on a test set.
 
-    theta comes either from the validation pairs (fitted by optimal_split)
-    or is given directly.  Unrepresentable pairs are predicted non-related
-    and reported separately, never silently dropped.
+    theta is fitted by optimal_split on the representable validation
+    pairs.  Unrepresentable test pairs are predicted non-related and
+    reported separately, never silently dropped.
     """
-    if theta is None:
-        if val_pairs is None:
-            raise ValueError("need either theta or val_pairs to fit it")
-        val_samples, _ = pair_distances(val_pairs, representer, metric)
-        if not val_samples:
-            raise ValueError("zero representable validation pairs")
-        theta, _ = optimal_split(val_samples)
+    val_d, val_labels = pair_distances(val_pairs, representer, metric)
+    val_kept = np.isfinite(val_d)
+    if not val_kept.any():
+        raise ValueError("zero representable validation pairs")
+    theta, _ = optimal_split(val_d[val_kept], val_labels[val_kept])
 
-    samples, unrepresentable = pair_distances(test_pairs, representer, metric)
-    if not samples:
+    distances, labels = pair_distances(test_pairs, representer, metric)
+    kept = np.isfinite(distances)
+    if not kept.any():
         raise ValueError("zero representable test pairs")
 
-    wrong = sum(1 for d, p in samples if (d <= theta) != (p == +1))
-    # Unrepresentable pairs are classified non-related: related ones count
-    # as errors.
-    wrong += sum(1 for pair in unrepresentable if pair.label == +1)
-    n_total = len(samples) + len(unrepresentable)
-
-    related_d = [d for d, p in samples if p == +1]
-    nonrelated_d = [d for d, p in samples if p == -1]
-    if related_d and nonrelated_d:
+    related_d = distances[kept & (labels == +1)]
+    nonrelated_d = distances[kept & (labels == -1)]
+    if len(related_d) and len(nonrelated_d):
         hist_r, hist_n, edges = distance_histograms(
             related_d, nonrelated_d, bins
         )
@@ -247,12 +236,12 @@ def evaluate_method(
 
     return EvalReport(
         method_name=method_name,
-        theta=float(theta),
-        split_error=wrong / n_total,
+        theta=theta,
+        split_error=split_error(distances, labels, theta),
         js_divergence=js,
         bin_edges=[float(e) for e in edges],
         histogram_related=[int(c) for c in hist_r],
         histogram_nonrelated=[int(c) for c in hist_n],
-        n_pairs=n_total,
-        unrepresentable_count=len(unrepresentable),
+        n_pairs=len(distances),
+        unrepresentable_count=int(np.count_nonzero(~kept)),
     )

@@ -1,6 +1,7 @@
 """Weight training with contrastive and median-based minibatch losses.
 
-A couple is a Gram matrix G plus a +1/-1 label.  Representations are
+A couple is a Gram matrix G plus a +1/-1 label; a set of couples is one
+stack of Grams and one label vector.  Representations are
 linear in the weights w, so the difference of a couple's two
 weighted-average representations is D w for a dim x n_max matrix D, and
 the couple's Euclidean distance is sqrt(w^T G w) with G = D^T D.  The
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,11 +27,18 @@ from .pairgen import TextPair
 
 
 @dataclass(frozen=True)
-class Couple:
-    """One training pair, reduced to the Gram matrix of its distance."""
+class Couples:
+    """Training pairs, each reduced to the Gram matrix of its distance."""
 
-    gram: np.ndarray  # (n_max, n_max), distance^2 = w @ gram @ w
-    label: int  # +1 related, -1 non-related
+    grams: np.ndarray  # (n, n_max, n_max), distance_i^2 = w @ grams[i] @ w
+    labels: np.ndarray  # (n,), +1 related, -1 non-related
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index) -> "Couples":
+        """The couples at an index array, boolean mask or slice."""
+        return Couples(self.grams[index], self.labels[index])
 
 
 @dataclass
@@ -98,14 +106,14 @@ def _weighting(vectors: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _distances_and_gradients(
-    couples: Sequence[Couple], w: np.ndarray
+    couples: Couples, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair distances d = sqrt(w^T G w) and their weight gradients G w / d.
 
     At d = 0 the distance is non-differentiable; the subgradient 0 is
     returned (coincident representations need no push).
     """
-    gw = np.stack([c.gram for c in couples]) @ w
+    gw = couples.grams @ w
     distances = np.sqrt(np.maximum(gw @ w, 0.0))
     grads = np.zeros_like(gw)
     positive = distances[:, None] > 0.0
@@ -114,7 +122,7 @@ def _distances_and_gradients(
 
 
 def batch_loss_and_gradient(
-    couples: Sequence[Couple],
+    couples: Couples,
     w: np.ndarray,
     loss: str,
     kappa: float,
@@ -130,7 +138,7 @@ def batch_loss_and_gradient(
     by batch position (stable sort).
     """
     distances, grads = _distances_and_gradients(couples, w)
-    labels = np.array([c.label for c in couples], dtype=np.float64)
+    labels = couples.labels
 
     if loss == "contrastive":
         total = float(labels @ distances)
@@ -156,7 +164,7 @@ def prepare_couples(
     table: EmbeddingTable,
     idf: IdfTable,
     n_max: int,
-) -> list[Couple]:
+) -> Couples:
     """Encode and truncate pairs, then reduce each to the Gram matrix of
     its distance.
 
@@ -167,17 +175,16 @@ def prepare_couples(
         [pair.text_a for pair in pairs] + [pair.text_b for pair in pairs],
         table, idf,
     )
-    couples = []
-    for pair, ids_a, ids_b in zip(pairs, encoded, encoded[n:]):
-        if ids_a and ids_b:
-            gram = couple_gram(table.vectors[ids_a[:n_max]],
-                               table.vectors[ids_b[:n_max]], n_max)
-            couples.append(Couple(gram=gram, label=pair.label))
-    return couples
+    kept = [i for i in range(n) if encoded[i] and encoded[n + i]]
+    grams = np.empty((len(kept), n_max, n_max))
+    for row, i in enumerate(kept):
+        grams[row] = couple_gram(table.vectors[encoded[i][:n_max]],
+                                 table.vectors[encoded[n + i][:n_max]], n_max)
+    return Couples(grams, np.array([pairs[i].label for i in kept]))
 
 
 def train_couples(
-    couples: Sequence[Couple], config: TrainConfig
+    couples: Couples, config: TrainConfig
 ) -> tuple[WeightModel, list[EpochRecord]]:
     """SGD on label-balanced minibatches of prepared couples, with the
     two-step eta schedule.
@@ -186,8 +193,8 @@ def train_couples(
     epoch loss deteriorates; at the reduced rate, training stops once the
     epoch-to-epoch improvement falls below stop_delta.
     """
-    related = [c for c in couples if c.label == +1]
-    nonrelated = [c for c in couples if c.label == -1]
+    related = np.flatnonzero(couples.labels == +1)
+    nonrelated = np.flatnonzero(couples.labels == -1)
     half = config.batch_size // 2
     if len(related) < half or len(nonrelated) < half:
         raise ValueError(
@@ -203,14 +210,15 @@ def train_couples(
     start = time.monotonic()
 
     for epoch in range(1, config.max_epochs + 1):
-        pos = [related[i] for i in rng.permutation(len(related))]
-        neg = [nonrelated[i] for i in rng.permutation(len(nonrelated))]
+        pos = related[rng.permutation(len(related))]
+        neg = nonrelated[rng.permutation(len(nonrelated))]
         n_batches = min(len(pos), len(neg)) // half
         mean_loss = 0.0
         for i in range(1, n_batches + 1):
-            batch = pos[(i - 1) * half : i * half] + neg[(i - 1) * half : i * half]
+            batch = np.concatenate((pos[(i - 1) * half : i * half],
+                                    neg[(i - 1) * half : i * half]))
             loss_value, grad = batch_loss_and_gradient(
-                batch, w, config.loss, config.kappa, config.lam
+                couples[batch], w, config.loss, config.kappa, config.lam
             )
             if not math.isfinite(loss_value):
                 raise FloatingPointError(
@@ -276,28 +284,22 @@ def grid_search_kappa(
         raise ValueError("kappa grid is empty")
 
     couples = prepare_couples(pairs, table, idf, config.n_max)
-    related = [c for c in couples if c.label == +1]
-    nonrelated = [c for c in couples if c.label == -1]
-
-    def fold_of(i: int) -> int:
-        return i % folds
+    # A couple's fold is its position among the couples of its label,
+    # modulo folds, so every fold holds both labels in proportion.
+    related = couples.labels == +1
+    rank = np.where(related, np.cumsum(related), np.cumsum(~related)) - 1
+    fold = rank % folds
 
     scores: dict[float, float] = {}
     for kappa in grid:
+        fold_config = replace(config, kappa=kappa, loss="median")
         errors = []
         for k in range(folds):
-            train_set = [c for i, c in enumerate(related) if fold_of(i) != k]
-            train_set += [c for i, c in enumerate(nonrelated) if fold_of(i) != k]
-            held_out = [c for i, c in enumerate(related) if fold_of(i) == k]
-            held_out += [c for i, c in enumerate(nonrelated) if fold_of(i) == k]
+            held_out = couples[fold == k]
             try:
-                fold_config = TrainConfig(
-                    **{**config.__dict__, "kappa": kappa, "loss": "median"}
-                )
-                model, _ = train_couples(train_set, fold_config)
+                model, _ = train_couples(couples[fold != k], fold_config)
                 held_d, _ = _distances_and_gradients(held_out, model.weights)
-                labels = [c.label for c in held_out]
-                _, err = optimal_split(list(zip(held_d.tolist(), labels)))
+                _, err = optimal_split(held_d, held_out.labels)
                 errors.append(err)
             except (ValueError, FloatingPointError) as exc:
                 warnings.warn(f"fold {k} failed for kappa={kappa}: {exc}")

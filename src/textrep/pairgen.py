@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .textprep import NormalizedText, normalize
+from .textprep import NormalizedText, may_be_normalized, normalize
 
 NON_INFORMATIVE_TAGS = frozenset({"breaking", "update", "news"})
 
@@ -292,6 +292,8 @@ def save_pairs(pairs: Iterable[TextPair], sink: IO[str]) -> None:
 
 
 def load_pairs(source: IO[str]) -> list[TextPair]:
+    """Read a pair TSV as save_pairs writes it; text that normalize() would
+    not emit (uppercase, punctuation, symbols) is a data error."""
     pairs = []
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
@@ -303,6 +305,9 @@ def load_pairs(source: IO[str]) -> list[TextPair]:
             raise ValueError(
                 f"pair label must be 1 or 0, line {lineno}: {fields[0]!r}"
             )
+        if not may_be_normalized(line):
+            raise ValueError(
+                f"pair text is not normalized, line {lineno}: {line!r}")
         label = +1 if fields[0] == "1" else -1
         pairs.append(
             TextPair(

@@ -27,13 +27,6 @@ class NormalizedText:
 
     tokens: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class SortedText:
@@ -85,6 +78,14 @@ def normalize(raw: str) -> NormalizedText:
     text = _DIGIT_RUN.sub(lambda m: _replace_digit_run(m, text), text)
     text = text.translate(_DROP_PUNCTUATION)
     return NormalizedText(tokens=tuple(text.split()))
+
+
+def may_be_normalized(line: str) -> bool:
+    """Whether ``line`` is lowercase and free of punctuation and symbols,
+    as normalize() output is, checked in two C-level string passes.
+    (normalize() is not idempotent, "a00b" -> "a0b", so it is no test.)"""
+    return (line == line.lower()
+            and len(line.translate(_DROP_PUNCTUATION)) == len(line))
 
 
 def sort_by_idf(text: NormalizedText, idf: IdfTable) -> SortedText:

@@ -24,10 +24,8 @@ from textrep.evaluate import (
     optimal_split,
 )
 from textrep.learn import (
-    Couple,
     TrainConfig,
     batch_loss_and_gradient,
-    couple_gram,
     grid_search_kappa,
     train,
 )
@@ -36,7 +34,7 @@ from textrep.textprep import NormalizedText
 
 from synth import make_pairs, save_embeddings, split_pairs, table_from
 from test_evaluate import brute_force_split
-from test_learn import batch_distances, lower_middle
+from test_learn import batch_distances, couple_of, lower_middle, stack
 
 
 def check(name, condition):
@@ -57,12 +55,12 @@ def random_instance(rng):
     for i in range(10):
         m_a = n_max if fixed else int(rng.integers(1, n_max + 1))
         m_b = n_max if fixed else int(rng.integers(1, n_max + 1))
-        gram = couple_gram(
-            rng.normal(size=(m_a, nu)), rng.normal(size=(m_b, nu)), n_max
-        )
-        couples.append(Couple(gram, +1 if i < 5 else -1))
+        couples.append(couple_of(
+            rng.normal(size=(m_a, nu)), rng.normal(size=(m_b, nu)),
+            +1 if i < 5 else -1, n_max,
+        ))
     w = rng.uniform(0.2, 1.0, size=n_max)
-    return couples, w, n_max
+    return stack(couples), w, n_max
 
 
 def instance_is_degenerate(couples, w):
@@ -124,16 +122,16 @@ def test_gradient_oracle():
 def test_loss_identities():
     rng = np.random.default_rng(1)
     couples, w, n_max = random_instance(rng)
-    median = couples[lower_middle(batch_distances(couples, w))]
+    median = couples[[lower_middle(batch_distances(couples, w))]]
 
     # a one-couple batch is its own median
-    loss, grad = batch_loss_and_gradient([median], w, "median", 160.0, 0.0)
+    loss, grad = batch_loss_and_gradient(median, w, "median", 160.0, 0.0)
     median_ok = abs(loss - math.log(2)) < 1e-12
     grad_ok = np.array_equal(grad, np.zeros(n_max))
     t = rng.normal(size=(1, 5))
-    coincident = Couple(couple_gram(t, t.copy(), 1), +1)
+    coincident = couple_of(t, t.copy(), +1)
     loss, grad = batch_loss_and_gradient(
-        [coincident], np.ones(1), "contrastive", 0.0, 0.0
+        coincident, np.ones(1), "contrastive", 0.0, 0.0
     )
     contrastive_ok = loss == 0.0 and np.array_equal(grad, np.zeros(1))
     check(
@@ -211,7 +209,7 @@ def test_split_oracle():
         samples = [
             (round(float(rng.uniform(0, 3)), 1), p) for p in labels
         ]
-        theta, err = optimal_split(samples)
+        theta, err = optimal_split(*zip(*samples))
         oracle_theta, oracle_err = brute_force_split(samples)
         ok &= err == oracle_err
         # theta must sit in an optimal interval: realize the oracle error

@@ -204,7 +204,7 @@ class TestTrainEval:
                 for p in pairs
             ]
 
-        theta, _ = optimal_split(samples("val"))
+        theta, _ = optimal_split(*zip(*samples("val")))
         test = samples("test")
         distances = [d for d, _ in test]
         labels = [p for _, p in test]

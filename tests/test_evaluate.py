@@ -27,12 +27,14 @@ from synth import make_pairs, split_pairs
 
 
 def brute_force_split(samples):
-    """Independent O(n^2) oracle: try every midpoint and both extremes."""
+    """Independent O(n^2) oracle: try both extremes and every midpoint, in
+    ascending order, and keep the first theta with the fewest errors."""
     distances = sorted({d for d, _ in samples})
-    candidates = [distances[0] - 1.0, distances[-1] + 1.0]
+    candidates = [distances[0] - 1.0]
     candidates += [
         (a + b) / 2.0 for a, b in zip(distances, distances[1:])
     ]
+    candidates.append(distances[-1] + 1.0)
     best = None
     for theta in candidates:
         wrong = sum(1 for d, p in samples if (d <= theta) != (p == +1))
@@ -43,24 +45,21 @@ def brute_force_split(samples):
 
 class TestOptimalSplit:
     def test_perfectly_separable(self):
-        samples = [(0.1, +1), (0.2, +1), (0.8, -1), (0.9, -1)]
-        theta, err = optimal_split(samples)
+        theta, err = optimal_split([0.1, 0.2, 0.8, 0.9], [+1, +1, -1, -1])
         assert err == 0.0
         assert theta == pytest.approx(0.5)
 
     def test_interleaved(self):
-        samples = [(0.1, +1), (0.7, +1), (0.3, -1), (0.9, -1)]
-        _, err = optimal_split(samples)
+        _, err = optimal_split([0.1, 0.7, 0.3, 0.9], [+1, +1, -1, -1])
         assert err == 0.25
 
     def test_indistinguishable(self):
-        samples = [(0.5, +1), (0.5, -1), (0.5, +1), (0.5, -1)]
-        _, err = optimal_split(samples)
+        _, err = optimal_split([0.5, 0.5, 0.5, 0.5], [+1, -1, +1, -1])
         assert err == 0.5
 
     def test_single_label_rejected(self):
         with pytest.raises(ValueError):
-            optimal_split([(0.1, +1), (0.2, +1)])
+            optimal_split([0.1, 0.2], [+1, +1])
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -71,11 +70,22 @@ class TestOptimalSplit:
                 (float(rng.choice([0.1, 0.25, 0.5, 0.75]) + rng.integers(3)), p)
                 for p in labels
             ]
-            theta, err = optimal_split(samples)
+            theta, err = optimal_split(*zip(*samples))
             oracle_theta, oracle_err = brute_force_split(samples)
             assert err == oracle_err
             # both thetas must realize the optimal error
-            assert split_error(*zip(*[(d, p) for d, p in samples]), theta) == err
+            assert split_error(*zip(*samples), theta) == err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                  st.sampled_from([+1, -1])),
+        min_size=2, max_size=40,
+    ).filter(lambda samples: {p for _, p in samples} == {+1, -1}))
+    def test_equals_brute_force_on_tied_distances(self, samples):
+        distances, labels = zip(*samples)
+        assert optimal_split(np.array(distances), np.array(labels)) == (
+            brute_force_split(samples))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -84,9 +94,9 @@ class TestOptimalSplit:
                 (float(rng.uniform(0, 5)), int(rng.choice([1, -1])))
                 for _ in range(15)
             ] + [(0.1, +1), (4.9, -1)]
-            _, err = optimal_split(samples)
+            _, err = optimal_split(*zip(*samples))
             transformed = [(math.exp(d) + d**3, p) for d, p in samples]
-            _, err_t = optimal_split(transformed)
+            _, err_t = optimal_split(*zip(*transformed))
             assert err == err_t
 
 
@@ -108,6 +118,13 @@ class TestSplitError:
         theta = 0.4
         total = split_error(d, p, theta) + split_error(d, [-x for x in p], theta)
         assert total == pytest.approx(1.0)
+
+    def test_unrepresentable_predicted_nonrelated(self):
+        # an unrepresentable pair sits at +inf: wrong if related, right if not
+        assert split_error([math.inf], [+1], 1e308) == 1.0
+        assert split_error([math.inf], [-1], 1e308) == 0.0
+        assert split_error(np.array([0.1, math.inf, math.inf]),
+                           np.array([+1, +1, -1]), 0.5) == pytest.approx(1 / 3)
 
 
 class TestJsDivergence:
@@ -264,30 +281,21 @@ class TestEvaluateMethod:
             pairs + [oov],
             baseline_representer(table, idf, "mean"),
             "euclidean",
-            theta=1.0,
+            val_pairs=pairs,
         )
         assert report.unrepresentable_count == 1
         assert report.n_pairs == 101
-
-    def test_given_theta_used_directly(self):
-        table, idf, pairs = make_pairs(n_related=50, n_nonrelated=50, seed=2)
-        report = evaluate_method(
-            pairs,
-            baseline_representer(table, idf, "mean"),
-            "euclidean",
-            theta=123.0,
-        )
-        assert report.theta == 123.0
 
     def test_js_is_derived_from_the_report_histograms(self):
         table, idf, pairs = make_pairs(n_related=50, n_nonrelated=50, seed=2)
         representer = baseline_representer(table, idf, "mean")
         report = evaluate_method(
-            pairs, representer, "euclidean", theta=1.0, bins=17
+            pairs, representer, "euclidean", val_pairs=pairs, bins=17
         )
-        samples, _ = pair_distances(pairs, representer, "euclidean")
-        related = [d for d, p in samples if p == +1]
-        nonrelated = [d for d, p in samples if p == -1]
+        distances, labels = pair_distances(pairs, representer, "euclidean")
+        assert np.isfinite(distances).all()
+        related = distances[labels == +1].tolist()
+        nonrelated = distances[labels == -1].tolist()
         assert report.js_divergence == js_divergence(related, nonrelated, 17)
         hist_r, hist_n, edges = distance_histograms(related, nonrelated, 17)
         assert report.histogram_related == hist_r.tolist()
@@ -305,19 +313,38 @@ class TestEvaluateMethod:
         representer = baseline_representer(table, idf, "minmax_top30")
         # batches of 3 pairs, so unrepresentable pairs straddle batches
         monkeypatch.setattr(evaluate_mod, "PAIRS_PER_BATCH", 3)
-        samples, unrepresentable = pair_distances(pairs, representer, metric)
-        want, skipped = [], []
+        distances, labels = pair_distances(pairs, representer, metric)
+        want = []
         for pair in pairs:
             try:
                 rep_a, rep_b = representer(pair.text_a), representer(pair.text_b)
             except UnrepresentableText:
-                skipped.append(pair)
+                want.append(math.inf)
                 continue
-            want.append((distance(rep_a, rep_b, metric), pair.label))
-        assert unrepresentable == skipped and len(skipped) == 6
-        assert [p for _, p in samples] == [p for _, p in want]
-        np.testing.assert_allclose([d for d, _ in samples],
-                                   [d for d, _ in want], rtol=1e-12, atol=0)
+            want.append(distance(rep_a, rep_b, metric))
+        assert labels.tolist() == [pair.label for pair in pairs]
+        assert np.isinf(want).sum() == 6
+        np.testing.assert_array_equal(np.isinf(distances), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(distances[finite], np.array(want)[finite],
+                                   rtol=1e-12, atol=0)
+
+    def test_non_finite_distance_of_representable_pair_raises(self):
+        table, idf, pairs = make_pairs(n_related=5, n_nonrelated=5, seed=2)
+        oov = TextPair(NormalizedText(("zzz",)), pairs[0].text_b, +1)
+        representer = baseline_representer(table, idf, "mean")
+        calls = []
+
+        def metric(x, y):
+            calls.append(1)
+            return math.nan if len(calls) == 4 else 1.0
+
+        # the unrepresentable pair is never measured, so the NaN is pair 4
+        with pytest.raises(ValueError, match="non-finite distance for "
+                                             "representable pair 4 "):
+            pair_distances([oov] + pairs, representer, metric)
+        with pytest.raises(ValueError, match="non-finite"):
+            pair_distances(pairs, representer, lambda x, y: math.inf)
 
     def test_histogram_csv_format(self, tmp_path):
         import io
@@ -327,7 +354,7 @@ class TestEvaluateMethod:
             pairs,
             baseline_representer(table, idf, "mean"),
             "euclidean",
-            theta=1.0,
+            val_pairs=pairs,
             bins=10,
         )
         sink = io.StringIO()

@@ -63,9 +63,10 @@ def compute_golden() -> dict:
     for name, (representer, metric) in methods.items():
         entry = {}
         for split, subset in (("val", val_p), ("test", test_p)):
-            samples, unrepresentable = pair_distances(subset, representer, metric)
-            entry[f"{split}_distances"] = [d for d, _ in samples]
-            entry[f"{split}_unrepresentable"] = len(unrepresentable)
+            distances, _ = pair_distances(subset, representer, metric)
+            representable = np.isfinite(distances)
+            entry[f"{split}_distances"] = distances[representable].tolist()
+            entry[f"{split}_unrepresentable"] = int((~representable).sum())
         report = evaluate_method(test_p, representer, metric,
                                  method_name=name, val_pairs=val_p)
         entry["theta"] = report.theta

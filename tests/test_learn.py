@@ -8,7 +8,7 @@ import textrep.learn as learn_mod
 from textrep.aggregate import WeightModel, distance, learned_representer
 from textrep.embeddings import compute_idf
 from textrep.learn import (
-    Couple,
+    Couples,
     TrainConfig,
     batch_loss_and_gradient,
     couple_gram,
@@ -26,14 +26,22 @@ from synth import make_pairs, split_pairs, table_from
 
 
 def couple_of(vectors_a, vectors_b, label, n_max=1):
+    """Couples holding the one couple of two texts' embedding matrices."""
     vectors_a = np.asarray(vectors_a, dtype=np.float64)
     vectors_b = np.asarray(vectors_b, dtype=np.float64)
-    return Couple(couple_gram(vectors_a, vectors_b, n_max), label)
+    gram = couple_gram(vectors_a, vectors_b, n_max)
+    return Couples(gram[None], np.array([label]))
+
+
+def stack(couples):
+    """One Couples holding every couple of a list of Couples, in order."""
+    return Couples(np.concatenate([c.grams for c in couples]),
+                   np.concatenate([c.labels for c in couples]))
 
 
 def batch_distances(couples, w):
     """Pair distances sqrt(w^T G w), computed independently of learn."""
-    return np.array([math.sqrt(max(w @ c.gram @ w, 0.0)) for c in couples])
+    return np.array([math.sqrt(max(w @ g @ w, 0.0)) for g in couples.grams])
 
 
 def lower_middle(distances):
@@ -52,10 +60,10 @@ def random_batch(rng, size=10):
     nu = int(rng.integers(1, 9))
     n_max = int(rng.integers(2, 11))
     fixed = bool(rng.random() < 0.5)
-    couples = [
+    couples = stack([
         random_couple(rng, nu, n_max, +1 if i < size // 2 else -1, fixed)
         for i in range(size)
-    ]
+    ])
     w = rng.uniform(0.2, 1.0, size=n_max)
     return couples, w, n_max
 
@@ -73,7 +81,7 @@ def fd_gradient(couples, w, loss, kappa, lam, median_index, h=1e-5):
 
 
 def contrastive(couple, w):
-    return batch_loss_and_gradient([couple], w, "contrastive", 0.0, 0.0)
+    return batch_loss_and_gradient(couple, w, "contrastive", 0.0, 0.0)
 
 
 class TestContrastiveLoss:
@@ -109,7 +117,7 @@ class TestContrastiveGradient:
     def test_coincident_zero_gradient(self):
         v = np.array([[1.0, 2.0]])
         couple = couple_of(v, v.copy(), +1)
-        assert np.array_equal(couple.gram, np.zeros((1, 1)))
+        assert np.array_equal(couple.grams, np.zeros((1, 1, 1)))
         _, grad = contrastive(couple, np.array([0.7]))
         np.testing.assert_array_equal(grad, [0.0])
 
@@ -126,11 +134,13 @@ class TestContrastiveGradient:
         for _ in range(20):
             couple = random_couple(rng, 4, 6, +1, False)
             w = rng.uniform(0.2, 1.0, size=6)
-            loss0, grad = batch_loss_and_gradient([couple], w, "contrastive", 0, 0)
+            loss0, grad = batch_loss_and_gradient(
+                couple, w, "contrastive", 0, 0
+            )
             if np.allclose(grad, 0):
                 continue
             loss1, _ = batch_loss_and_gradient(
-                [couple], w - 1e-4 * grad, "contrastive", 0, 0
+                couple, w - 1e-4 * grad, "contrastive", 0, 0
             )
             assert loss1 < loss0
 
@@ -140,8 +150,10 @@ class TestMedianLoss:
         # a one-couple batch is its own median: softplus(0) = ln 2
         rng = np.random.default_rng(3)
         couples, w, _ = random_batch(rng)
-        for couple in couples:
-            got, _ = batch_loss_and_gradient([couple], w, "median", 160.0, 0.0)
+        for i in range(len(couples)):
+            got, _ = batch_loss_and_gradient(
+                couples[[i]], w, "median", 160.0, 0.0
+            )
             assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_matches_per_couple_reference(self):
@@ -155,7 +167,7 @@ class TestMedianLoss:
             couples, w, _ = random_batch(rng)
             distances = batch_distances(couples, w)
             mu = distances[lower_middle(distances)]
-            labels = [c.label for c in couples]
+            labels = couples.labels.tolist()
             l2 = 0.001 * float(w @ w)
             median = sum(
                 reference_softplus(-160.0 * p * (mu - d))
@@ -178,10 +190,10 @@ class TestMedianLoss:
         assert softplus(-160.0 * 0.5) < 1e-6
 
     def test_median_index_is_lower_middle(self):
-        couples = [
+        couples = stack([
             couple_of([[float(d)]], [[0.0]], +1 if i < 3 else -1)
             for i, d in enumerate([5, 1, 3, 2, 4, 6])
-        ]
+        ])
         w = np.array([1.0])
         # distances 5,1,3,2,4,6 sorted -> 1,2,3,4,5,6; lower middle is 3,
         # at batch index 2
@@ -196,14 +208,14 @@ class TestMedianLoss:
 
     def test_label_balance_in_training_batches(self, monkeypatch):
         rng = np.random.default_rng(4)
-        couples = [
+        couples = stack([
             random_couple(rng, 4, 5, +1 if i % 3 else -1, False)
             for i in range(60)
-        ]
+        ])
         seen = []
 
         def recording(batch, *args):
-            seen.append([c.label for c in batch])
+            seen.append(batch.labels.tolist())
             return batch_loss_and_gradient(batch, *args)
 
         monkeypatch.setattr(learn_mod, "batch_loss_and_gradient", recording)
@@ -227,8 +239,8 @@ class TestMedianGradient:
     def test_median_couple_gradient_exactly_zero(self):
         rng = np.random.default_rng(5)
         couples, w, n_max = random_batch(rng)
-        median = couples[lower_middle(batch_distances(couples, w))]
-        _, grad = batch_loss_and_gradient([median], w, "median", 160.0, 0.0)
+        median = couples[[lower_middle(batch_distances(couples, w))]]
+        _, grad = batch_loss_and_gradient(median, w, "median", 160.0, 0.0)
         assert np.array_equal(grad, np.zeros(n_max))
 
     def test_matches_finite_differences(self):
@@ -293,11 +305,13 @@ class TestCoupleGram:
 
         pair = TextPair(text(len_a), text(len_b), +1)
         model = WeightModel(n_max=n_max, weights=rng.uniform(0.1, 1.0, n_max))
-        (couple,) = prepare_couples([pair], table, idf, n_max)
+        couples = prepare_couples([pair], table, idf, n_max)
+        assert len(couples) == 1 and couples.labels.tolist() == [+1]
         represent = learned_representer(table, idf, model)
         reps = [represent(t) for t in (pair.text_a, pair.text_b)]
         expected = distance(*reps, "euclidean")
-        got = math.sqrt(max(model.weights @ couple.gram @ model.weights, 0.0))
+        gram = couples.grams[0]
+        got = math.sqrt(max(model.weights @ gram @ model.weights, 0.0))
         if expected == 0.0:
             assert got == 0.0
         else:
@@ -361,7 +375,7 @@ class TestTrain:
                 TrainConfig(n_max=n_max)
 
     def test_needs_both_labels(self):
-        couples = [Couple(np.zeros((2, 2)), +1)] * 10
+        couples = Couples(np.zeros((10, 2, 2)), np.full(10, +1))
         with pytest.raises(ValueError, match="per label"):
             train_couples(couples, TrainConfig(batch_size=4, n_max=2))
 
@@ -397,7 +411,8 @@ class TestGridSearchKappa:
 
         monkeypatch.setattr(learn_mod, "train_couples", stub_train)
         monkeypatch.setattr(
-            evaluate_mod, "optimal_split", lambda samples: (0.0, 0.25)
+            evaluate_mod, "optimal_split",
+            lambda distances, labels: (0.0, 0.25),
         )
         best, scores = grid_search_kappa(
             pairs[:100], table, idf, config, grid=(160.0, 20.0, 80.0), folds=2
