@@ -5,13 +5,15 @@ per-rank weight and averages; texts shorter than the weight vector reuse
 it through subsampling with linear interpolation.  The classic baselines
 (mean/max/min, top-30% idf variants, idf-weighted mean, tf-idf) live
 here too so every method is evaluated through one code path.  Texts are
-encoded once as idf-sorted embedding row ids and represented in batches,
-grouped by the number of rows they use.
+encoded once as idf-sorted embedding row ids.  Each method is one block
+kernel over those rows, run by a batch driver, which groups texts by the
+number of rows they use, and by a one-text driver.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,8 +48,10 @@ class UnrepresentableText(ValueError):
 class WeightModel:
     """Learned per-rank weights.
 
-    ``metric`` is always "euclidean": the training loss is built on
-    Euclidean distances, so the weights are fit for no other metric.
+    ``weights`` is the model's own read-only copy, because a representer
+    reads it once, when it is built.  ``metric`` is always "euclidean":
+    the training loss is built on Euclidean distances, so the weights are
+    fit for no other metric.
     """
 
     n_max: int
@@ -57,7 +61,8 @@ class WeightModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.weights.flags.writeable = False
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.weights.shape != (self.n_max,):
@@ -135,23 +140,27 @@ GATHER_ROWS = 512
 
 
 def _idf_by_row(table: EmbeddingTable, idf: IdfTable) -> list[float]:
-    """The idf of each table row's token, indexed by row."""
-    key = [0.0] * table.vocabulary_size
-    for token, row in table.rows.items():
-        key[row] = idf.idf_of(token)
-    return key
+    """The idf of each table row's token, indexed by row.
+
+    One C-level pass over the vocabulary: ``EmbeddingTable`` checks that
+    its rows are numbered 0..n-1 in insertion order.
+    """
+    return list(map(idf.idf.get, table.rows, itertools.repeat(idf.default_idf)))
+
+
+def _text_ids(
+    text: NormalizedText, table: EmbeddingTable, by_idf: Callable[[int], float]
+) -> list[int]:
+    ids = table.row_ids(text.tokens)
+    ids.sort(key=by_idf, reverse=True)
+    return ids
 
 
 def _sorted_ids(
     texts: Iterable[NormalizedText], table: EmbeddingTable, key: list[float]
 ) -> list[list[int]]:
     by_idf = key.__getitem__
-    encoded = []
-    for text in texts:
-        ids = table.row_ids(text.tokens)
-        ids.sort(key=by_idf, reverse=True)
-        encoded.append(ids)
-    return encoded
+    return [_text_ids(text, table, by_idf) for text in texts]
 
 
 def encode(
@@ -163,6 +172,12 @@ def encode(
     ``table.row_ids(sort_by_idf(text, idf).tokens)``.
     """
     return _sorted_ids(texts, table, _idf_by_row(table, idf))
+
+
+# A block kernel maps (ids, k) to the vectors of texts that use k rows
+# each: the (k,) ids of one text give its vector, a (k, texts) id matrix
+# gives the texts' vectors (flattened or one row per text).
+BlockKernel = Callable[[Any, int], np.ndarray]
 
 
 def _blocks(
@@ -184,30 +199,114 @@ def _blocks(
             yield k, chunk, np.array([encoded[i][:k] for i in chunk]).T
 
 
-def _representable(encoded: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.array([len(ids) > 0 for ids in encoded], dtype=bool)
+def _represent_blocks(
+    encoded: Sequence[Sequence[int]],
+    width: int,
+    length: Callable[[int], int],
+    kernel: BlockKernel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch driver: (vectors, representable) of encoded texts.
+
+    Texts without an in-vocabulary token get a zero row and a False in
+    the mask.
+    """
+    vectors = np.zeros((len(encoded), width))
+    for k, chunk, ids in _blocks(encoded, length):
+        vectors[chunk] = kernel(ids, k).reshape(len(chunk), width)
+    return vectors, np.array([len(ids) > 0 for ids in encoded], dtype=bool)
+
+
+def _one_text(
+    table: EmbeddingTable,
+    key: list[float],
+    width: int,
+    length: Callable[[int], int],
+    kernel: BlockKernel,
+) -> Callable[[NormalizedText], np.ndarray]:
+    """The one-text driver: encode a text and run ``kernel`` on its ids.
+
+    The vector is allocated before the kernel's temporaries, as the batch
+    driver's output is.  Vectors that a caller keeps then pack together
+    instead of between freed gathers: returning the kernel's own block
+    raised peak RSS by 8-12 MB in a process that kept 6000 dim-300
+    vectors.
+    """
+    by_idf = key.__getitem__
+
+    def single(text: NormalizedText) -> np.ndarray:
+        ids = _text_ids(text, table, by_idf)
+        if not ids:
+            raise UnrepresentableText(text.tokens)
+        k = length(len(ids))
+        vector = np.empty(width)
+        vector[:] = kernel(ids[:k], k)
+        return vector
+
+    return single
+
+
+def rank_weights(model: WeightModel) -> list[np.ndarray]:
+    """The weights of every text length: entry k - 1 is z_k = P_k w,
+    which a text keeping k rows uses."""
+    return [interpolation_matrix(k, model.n_max) @ model.weights
+            for k in range(1, model.n_max + 1)]
+
+
+def _learned_kernel(vectors: np.ndarray, zs: list[np.ndarray]) -> BlockKernel:
+    def kernel(ids, k: int) -> np.ndarray:
+        block = zs[k - 1] @ vectors[ids].reshape(k, -1)  # texts * dim values
+        block /= k
+        return block
+
+    return kernel
 
 
 def represent_learned(
-    encoded: Sequence[Sequence[int]], table: EmbeddingTable, model: WeightModel
+    encoded: Sequence[Sequence[int]],
+    table: EmbeddingTable,
+    zs: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages of encoded texts: (vectors, representable).
 
     A text keeps its k = min(m, n_max) highest-idf rows V and becomes
-    (P_k w) V / k.  Texts without an in-vocabulary token get a zero row
-    and a False in the mask.
+    z_k V / k, where ``zs`` is ``rank_weights(model)``.  Texts without an
+    in-vocabulary token get a zero row and a False in the mask.
     """
-    vectors = np.zeros((len(encoded), table.dimension))
-    for k, chunk, ids in _blocks(encoded, lambda m: min(m, model.n_max)):
-        z = interpolation_matrix(k, model.n_max) @ model.weights
-        block = z @ table.vectors[ids].reshape(k, -1)  # (texts * dim,)
-        block /= k
-        vectors[chunk] = block.reshape(len(chunk), -1)
-    return vectors, _representable(encoded)
+    return _represent_blocks(encoded, table.dimension,
+                             functools.partial(min, len(zs)),
+                             _learned_kernel(table.vectors, zs))
 
 
 def _top30_count(m: int) -> int:
     return max(1, math.ceil(0.3 * m))
+
+
+def _baseline_length(method: str) -> Callable[[int], int]:
+    return _top30_count if method.endswith("_top30") else (lambda m: m)
+
+
+def _baseline_width(table: EmbeddingTable, method: str) -> int:
+    return (2 if method.startswith("minmax") else 1) * table.dimension
+
+
+def _baseline_kernel(
+    vectors: np.ndarray, row_idf: np.ndarray, method: str
+) -> BlockKernel:
+    base = method.replace("_top30", "")
+    if base == "mean":
+        return lambda ids, k: vectors[ids].mean(axis=0)
+    if base == "max":
+        return lambda ids, k: vectors[ids].max(axis=0)
+    if base == "min":
+        return lambda ids, k: vectors[ids].min(axis=0)
+    if base.startswith("minmax"):
+        def minmax(ids, k: int) -> np.ndarray:
+            rows = vectors[ids]
+            return np.concatenate((rows.min(axis=0), rows.max(axis=0)), axis=-1)
+        return minmax
+    # idf_weighted_mean
+    return lambda ids, k: np.einsum(
+        "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
 
 
 def represent_baseline(
@@ -225,26 +324,9 @@ def represent_baseline(
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    length = _top30_count if method.endswith("_top30") else (lambda m: m)
-    base = method.replace("_top30", "")
-    dim = table.dimension
-    minmax = base in ("minmax_concat", "minmax")
-    vectors = np.zeros((len(encoded), 2 * dim if minmax else dim))
-    for k, chunk, ids in _blocks(encoded, length):
-        rows = table.vectors[ids]  # (k, texts, dim)
-        if base == "mean":
-            vectors[chunk] = rows.mean(axis=0)
-        elif base == "max":
-            vectors[chunk] = rows.max(axis=0)
-        elif base == "min":
-            vectors[chunk] = rows.min(axis=0)
-        elif minmax:
-            vectors[chunk, :dim] = rows.min(axis=0)
-            vectors[chunk, dim:] = rows.max(axis=0)
-        else:  # idf_weighted_mean
-            vectors[chunk] = np.einsum("kt,ktd->td", row_idf[ids], rows) / k
-        del rows  # free the block before the next one is gathered
-    return vectors, _representable(encoded)
+    return _represent_blocks(encoded, _baseline_width(table, method),
+                             _baseline_length(method),
+                             _baseline_kernel(table.vectors, row_idf, method))
 
 
 def tfidf_vector(text: NormalizedText, idf: IdfTable) -> dict[str, float]:
@@ -293,22 +375,21 @@ def distance(x, y, metric: str):
 
 @dataclass(frozen=True)
 class Representer:
-    """One text-to-vector kernel behind a batch and a single-text entry.
+    """One text-to-vector block kernel behind two drivers.
 
     ``batch(texts)`` returns (vectors, representable): one vector per
     text and a boolean mask of the texts that have a representation.
-    Calling the representer on one text runs the same kernel on a
-    one-text batch; it returns the text's Representation or raises
-    UnrepresentableText.
+    ``single(text)`` encodes one text and runs the same kernel on its
+    ids alone; it returns the text's vector or raises
+    UnrepresentableText.  Calling the representer on a text returns
+    ``single``'s vector as a Representation.
     """
 
     batch: Callable[[Sequence[NormalizedText]], tuple[Any, np.ndarray]]
+    single: Callable[[NormalizedText], Any]
 
     def __call__(self, text: NormalizedText) -> Representation:
-        vectors, representable = self.batch([text])
-        if not representable[0]:
-            raise UnrepresentableText(text.tokens)
-        return Representation(vectors[0])
+        return Representation(self.single(text))
 
 
 def learned_representer(
@@ -317,7 +398,7 @@ def learned_representer(
     """The learned model as a Representer.
 
     The model must have been trained on text normalized the way
-    ``textprep.normalize`` does it now.
+    ``textprep.normalize`` does it now.  Its weights are read once, here.
     """
     if model.normalization_version != NORMALIZATION_VERSION:
         raise ValueError(
@@ -326,8 +407,14 @@ def learned_representer(
             f"text as {NORMALIZATION_VERSION!r}"
         )
     key = _idf_by_row(table, idf)
-    return Representer(lambda texts: represent_learned(
-        _sorted_ids(texts, table, key), table, model))
+    zs = rank_weights(model)
+    return Representer(
+        batch=lambda texts: represent_learned(
+            _sorted_ids(texts, table, key), table, zs),
+        single=_one_text(table, key, table.dimension,
+                         functools.partial(min, model.n_max),
+                         _learned_kernel(table.vectors, zs)),
+    )
 
 
 def baseline_representer(
@@ -338,17 +425,25 @@ def baseline_representer(
         raise ValueError(f"unknown baseline method {method!r}")
     key = _idf_by_row(table, idf)
     row_idf = np.array(key)
-    return Representer(lambda texts: represent_baseline(
-        _sorted_ids(texts, table, key), table, row_idf, method))
+    return Representer(
+        batch=lambda texts: represent_baseline(
+            _sorted_ids(texts, table, key), table, row_idf, method),
+        single=_one_text(table, key, _baseline_width(table, method),
+                         _baseline_length(method),
+                         _baseline_kernel(table.vectors, row_idf, method)),
+    )
 
 
 def tfidf_representer(idf: IdfTable) -> Representer:
     """tf-idf as a Representer: sparse dict vectors, every text
     representable (an empty text is the zero vector)."""
-    return Representer(lambda texts: (
-        [tfidf_vector(text, idf) for text in texts],
-        np.ones(len(texts), dtype=bool),
-    ))
+    return Representer(
+        batch=lambda texts: (
+            [tfidf_vector(text, idf) for text in texts],
+            np.ones(len(texts), dtype=bool),
+        ),
+        single=lambda text: tfidf_vector(text, idf),
+    )
 
 
 def load_model(path) -> WeightModel:

@@ -226,6 +226,8 @@ def cmd_eval(args):
 
 def cmd_baseline_eval(args):
     started = time.monotonic()
+    if args.method != "tfidf" and args.emb is None:
+        raise UsageError("--emb is required unless --method is tfidf")
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
     if args.method == "tfidf":
         idf = _load_idf(args)
@@ -350,7 +352,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline-eval", help="evaluate a fixed baseline")
     p.add_argument("--pairs", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--emb", required=True)
+    p.add_argument("--emb", default=None,
+                   help="embedding file (not read by --method tfidf)")
     p.add_argument("--df", required=True)
     p.add_argument("--method", required=True,
                    choices=BASELINE_METHODS + ("tfidf",))
@@ -376,11 +379,10 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (EmbeddingParseError, PairGenerationError, UnrepresentableText,
             ValueError, FloatingPointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,10 @@ class EmbeddingParseError(ValueError):
 class EmbeddingTable:
     """Immutable token -> row map over one read-only (rows, dim) matrix.
 
-    ``vectors[rows[token]]`` is the token's embedding.  Absence is a
-    value, not an error: no default vector is ever substituted and no
-    case folding happens here.
+    ``vectors[rows[token]]`` is the token's embedding, and ``rows``
+    numbers its tokens 0..n-1 in insertion order.  Absence is a value,
+    not an error: no default vector is ever substituted and no case
+    folding happens here.
     """
 
     rows: dict[str, int]
@@ -37,6 +38,8 @@ class EmbeddingTable:
                 f"expected a ({len(self.rows)}, dim) matrix, got shape "
                 f"{self.vectors.shape}"
             )
+        if list(self.rows.values()) != list(range(len(self.rows))):
+            raise ValueError("rows must number the tokens 0..n-1 in order")
         self.vectors.flags.writeable = False
 
     @property

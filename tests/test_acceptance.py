@@ -2,12 +2,14 @@
 pass/fail line per criterion.  Run with `pytest tests/test_acceptance.py -s`
 to see the lines."""
 
+import functools
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textrep.aggregate import (
     WeightModel,
@@ -16,7 +18,7 @@ from textrep.aggregate import (
     learned_representer,
 )
 from textrep.cli import dispatch
-from textrep.embeddings import compute_idf, save_doc_freq
+from textrep.embeddings import EmbeddingTable, compute_idf, save_doc_freq
 from textrep.evaluate import (
     binomial_test,
     evaluate_method,
@@ -32,7 +34,13 @@ from textrep.learn import (
 from textrep.pairgen import TextPair, save_pairs
 from textrep.textprep import NormalizedText
 
-from synth import make_pairs, save_embeddings, split_pairs, table_from
+from synth import (
+    build_world,
+    make_pairs,
+    save_embeddings,
+    split_pairs,
+    table_from,
+)
 from test_evaluate import brute_force_split
 from test_learn import batch_distances, couple_of, lower_middle, stack
 
@@ -304,6 +312,63 @@ def test_weight_shape(separability_run):
         f"last quarter {last:.3f}",
         first >= 2.0 * last,
     )
+
+
+# ---------------------------------------------------------------------------
+# generalization across embeddings without retraining
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def world7_splits():
+    table, idf, pairs = make_pairs(n_related=2000, n_nonrelated=2000, seed=7)
+    return (table, idf, *split_pairs(pairs))
+
+
+@functools.lru_cache(maxsize=None)
+def world7_weights(max_epochs):
+    table, idf, train_p, _, _ = world7_splits()
+    model, _ = train(train_p, table, idf, TrainConfig(max_epochs=max_epochs))
+    return model
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rotation_invariance(seed):
+    # Training sees the vectors only through distances, which a rotation
+    # of the embedding space keeps.
+    table, idf, train_p, _, _ = world7_splits()
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(table.dimension, table.dimension)))
+    rotated = EmbeddingTable(rows=table.rows, vectors=table.vectors @ q)
+    model, _ = train(train_p, rotated, idf, TrainConfig(max_epochs=3))
+    want = world7_weights(3).weights
+    gap = np.max(np.abs(model.weights - want)) / np.max(np.abs(want))
+    check(f"rotation invariance: weights within {gap:.1e} <= 1e-12 relative",
+          gap <= 1e-12)
+
+
+def test_cross_embedding_transfer():
+    # Worlds share a vocabulary and structure but draw new vectors; the
+    # weights trained on world 7 are applied to the others as they are.
+    _, idf, _, val_p, test_p = world7_splits()
+    model = world7_weights(60)
+    for seed in (8, 9, 10):
+        table = build_world(seed=seed)[0]
+        learned, mean = (
+            evaluate_method(test_p, representer, "euclidean",
+                            method_name=name, val_pairs=val_p)
+            for name, representer in (
+                ("learned", learned_representer(table, idf, model)),
+                ("mean", baseline_representer(table, idf, "mean")))
+        )
+        check(
+            f"cross-embedding transfer: world 7 weights on world {seed}'s "
+            f"table, learned error {learned.split_error:.3f} < 0.05 and "
+            f"< mean {mean.split_error:.3f} / 4",
+            learned.split_error < 0.05
+            and learned.split_error < mean.split_error / 4,
+        )
 
 
 # ---------------------------------------------------------------------------

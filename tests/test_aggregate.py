@@ -11,11 +11,13 @@ from textrep.aggregate import (
     Representation,
     UnrepresentableText,
     WeightModel,
+    _idf_by_row,
     baseline_representer,
     distance,
     encode,
     interpolation_matrix,
     learned_representer,
+    rank_weights,
     tfidf_cosine_distance,
     tfidf_representer,
     tfidf_vector,
@@ -280,6 +282,21 @@ class TestEncode:
             table.row_ids(sort_by_idf(text, idf).tokens) for text in texts
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(worlds(), st.randoms(use_true_random=False))
+    def test_idf_order_ignores_token_order(self, world, random):
+        table, idf, _, texts = world
+        token_of = list(table.rows)
+        for text in texts:
+            tokens = list(text.tokens)
+            random.shuffle(tokens)
+            shuffled = NormalizedText(tuple(tokens))
+            assert [
+                [idf.idf_of(token_of[i]) for i in ids]
+                for ids in encode([text, shuffled], table, idf)
+            ] == [sorted((idf.idf_of(t) for t in text.tokens if t in table),
+                         reverse=True)] * 2
+
     def test_stable_under_ties(self):
         table = table_from({t: [float(i)] for i, t in enumerate("abcd")})
         idf = compute_idf({"a": 1, "b": 1, "c": 1, "d": 0}, 10)
@@ -302,6 +319,8 @@ class TestBatchRepresentation:
             if ok:
                 assert_close(vector, want)
                 assert_close(representer(text).vector, vector)
+                assert np.array_equal(representer(text).vector,
+                                      representer.batch([text])[0][0])
             else:
                 with pytest.raises(UnrepresentableText):
                     representer(text)
@@ -320,6 +339,30 @@ class TestBatchRepresentation:
             if ok:
                 assert_close(vector, want)
                 assert_close(representer(text).vector, vector)
+                assert np.array_equal(representer(text).vector,
+                                      representer.batch([text])[0][0])
+            else:
+                with pytest.raises(UnrepresentableText):
+                    representer(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(worlds())
+    def test_rank_weights_are_interpolated_weights(self, world):
+        model = world[2]
+        zs = rank_weights(model)
+        assert len(zs) == model.n_max
+        for k, z in enumerate(zs, start=1):
+            assert np.array_equal(
+                z, interpolation_matrix(k, model.n_max) @ model.weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(worlds())
+    def test_row_key_is_idf_of_each_row_token(self, world):
+        table, idf, _, _ = world
+        key = [None] * table.vocabulary_size
+        for token, row in table.rows.items():
+            key[row] = idf.idf_of(token)
+        assert _idf_by_row(table, idf) == key
 
     def test_tfidf_single_text_is_its_vector(self):
         idf = compute_idf({"a": 2, "b": 0}, 10)
@@ -438,6 +481,16 @@ class TestDistance:
             assert dxy <= (
                 distance(x, z, "euclidean") + distance(z, y, "euclidean") + 1e-9
             )
+
+
+class TestWeightModel:
+    def test_keeps_a_read_only_copy(self):
+        source = np.array([0.5, 0.25, 0.125])
+        model = WeightModel(n_max=3, weights=source)
+        source[0] = 9.0
+        assert model.weights.tolist() == [0.5, 0.25, 0.125]
+        with pytest.raises(ValueError):
+            model.weights[0] = 1.0
 
 
 class TestModelIO:

@@ -244,6 +244,31 @@ class TestTrainEval:
             str(workdir / f) for f in ("test.tsv", "val.tsv", "df.tsv")
         )
 
+    def test_baseline_eval_needs_emb_for_embedding_methods(
+            self, workdir, tmp_path, capsys):
+        report = tmp_path / "mean.json"
+        assert run(
+            "baseline-eval", "--pairs", workdir / "test.tsv",
+            "--val", workdir / "val.tsv", "--df", workdir / "df.tsv",
+            "--method", "mean", "--report", report,
+        ) == 1
+        assert ("usage error: --emb is required unless --method is tfidf"
+                in capsys.readouterr().err)
+        assert not report.exists()
+
+    def test_baseline_eval_tfidf_needs_no_emb(self, workdir, tmp_path):
+        reports = {}
+        for name, emb in (("with", ["--emb", workdir / "vec.txt"]),
+                          ("without", [])):
+            reports[name] = tmp_path / f"{name}.json"
+            assert run(
+                "baseline-eval", "--pairs", workdir / "test.tsv",
+                "--val", workdir / "val.tsv", *emb,
+                "--df", workdir / "df.tsv", "--method", "tfidf",
+                "--report", reports[name],
+            ) == 0
+        assert reports["without"].read_text() == reports["with"].read_text()
+
 
 class TestGridKappa:
     def test_writes_scores(self, workdir, tmp_path):
@@ -407,6 +432,16 @@ class TestImport:
         code = ("import sys, textrep.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
+        assert run_python("-c", code).stdout.strip() == "[]"
+
+    def test_adds_only_stdlib_modules_beyond_numpy(self):
+        # The import a CLI launch pays for: textrep's own modules and the
+        # standard library, nothing else past numpy.
+        code = ("import sys, numpy; before = set(sys.modules); "
+                "import textrep.cli; "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.split('.')[0] not in sys.stdlib_module_names "
+                "and m.split('.')[0] != 'textrep'))")
         assert run_python("-c", code).stdout.strip() == "[]"
 
     def test_runs_as_module(self):

@@ -224,6 +224,11 @@ class TestLookup:
             embeddings.EmbeddingTable(rows={"a": 0, "b": 1},
                                       vectors=np.zeros((3, 2)))
 
+    def test_rows_numbered_in_insertion_order(self):
+        for rows in ({"a": 1, "b": 0}, {"a": 0, "b": 2}):
+            with pytest.raises(ValueError, match=r"0\.\.n-1 in order"):
+                embeddings.EmbeddingTable(rows=rows, vectors=np.zeros((2, 2)))
+
 
 class TestComputeIdf:
     def test_smoothing_zero_case(self):
