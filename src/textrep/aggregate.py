@@ -5,9 +5,10 @@ per-rank weight and averages; texts shorter than the weight vector reuse
 it through subsampling with linear interpolation.  The classic baselines
 (mean/max/min, top-30% idf variants, idf-weighted mean, tf-idf) live
 here too so every method is evaluated through one code path.  Texts are
-encoded once as idf-sorted embedding row ids.  Each method is one block
-kernel over those rows, run by a batch driver, which groups texts by the
-number of rows they use, and by a one-text driver.
+encoded once as idf-sorted embedding row ids.  Each method is one spec
+(output width, rows kept, block kernel over those rows), run by a batch
+driver, which groups texts by the number of rows they use, and by a
+one-text driver.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,16 +50,16 @@ class WeightModel:
     """Learned per-rank weights.
 
     ``weights`` is the model's own read-only copy, because a representer
-    reads it once, when it is built.  ``metric`` is always "euclidean":
-    the training loss is built on Euclidean distances, so the weights are
-    fit for no other metric.
+    reads it once, when it is built.  ``metric`` is a class constant,
+    "euclidean": the training loss is built on Euclidean distances, so the
+    weights are fit for no other metric.
     """
 
     n_max: int
     weights: np.ndarray
-    metric: str = "euclidean"
     normalization_version: str = NORMALIZATION_VERSION
     metadata: dict = field(default_factory=dict)
+    metric: ClassVar[str] = "euclidean"
 
     def __post_init__(self):
         self.weights = np.array(self.weights, dtype=np.float64)
@@ -71,10 +72,6 @@ class WeightModel:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        if self.metric != "euclidean":
-            raise ValueError(
-                f"model metric must be 'euclidean', got {self.metric!r}"
-            )
 
     def to_json(self) -> str:
         doc = {
@@ -89,13 +86,16 @@ class WeightModel:
     @classmethod
     def from_json(cls, text: str) -> "WeightModel":
         doc = json.loads(text)
-        return cls(
+        model = cls(
             n_max=doc["n_max"],
             weights=np.array(doc["weights"], dtype=np.float64),
-            metric=doc.get("metric", "euclidean"),
             normalization_version=doc.get("normalization_version", "v1"),
             metadata=doc.get("metadata", {}),
         )
+        metric = doc.get("metric", cls.metric)
+        if metric != cls.metric:
+            raise ValueError(f"model metric must be 'euclidean', got {metric!r}")
+        return model
 
 
 @dataclass(frozen=True)
@@ -148,19 +148,19 @@ def _idf_by_row(table: EmbeddingTable, idf: IdfTable) -> list[float]:
     return list(map(idf.idf.get, table.rows, itertools.repeat(idf.default_idf)))
 
 
-def _text_ids(
-    text: NormalizedText, table: EmbeddingTable, by_idf: Callable[[int], float]
-) -> list[int]:
-    ids = table.row_ids(text.tokens)
-    ids.sort(key=by_idf, reverse=True)
-    return ids
+def _encoder(
+    table: EmbeddingTable, key: list[float]
+) -> Callable[[NormalizedText], list[int]]:
+    """The per-text encoder: a text's in-vocabulary row ids, in descending
+    idf order, where ``key`` is ``_idf_by_row(table, idf)``."""
+    row_ids, by_idf = table.row_ids, key.__getitem__
 
+    def encode_text(text: NormalizedText) -> list[int]:
+        ids = row_ids(text.tokens)
+        ids.sort(key=by_idf, reverse=True)
+        return ids
 
-def _sorted_ids(
-    texts: Iterable[NormalizedText], table: EmbeddingTable, key: list[float]
-) -> list[list[int]]:
-    by_idf = key.__getitem__
-    return [_text_ids(text, table, by_idf) for text in texts]
+    return encode_text
 
 
 def encode(
@@ -171,23 +171,25 @@ def encode(
     The sort is stable, so equal idf keeps text order: a text's ids equal
     ``table.row_ids(sort_by_idf(text, idf).tokens)``.
     """
-    return _sorted_ids(texts, table, _idf_by_row(table, idf))
+    return list(map(_encoder(table, _idf_by_row(table, idf)), texts))
 
 
-# A block kernel maps (ids, k) to the vectors of texts that use k rows
-# each: the (k,) ids of one text give its vector, a (k, texts) id matrix
-# gives the texts' vectors (flattened or one row per text).
-BlockKernel = Callable[[Any, int], np.ndarray]
+def _represent_blocks(
+    encoded: Sequence[Sequence[int]], spec: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch driver: (vectors, representable) of encoded texts.
 
-
-def _blocks(
-    encoded: Sequence[Sequence[int]], length: Callable[[int], int]
-) -> Iterator[tuple[int, list[int], np.ndarray]]:
-    """Texts grouped by k = length(m), the rows a text with m ids uses.
-
-    Yields (k, text indices, (k, texts) id matrix) with at most
-    GATHER_ROWS ids per block; texts without ids are left out.
+    A method's spec is (width, length, kernel): its vectors have
+    ``width`` values, a text with m ids keeps its k = length(m)
+    highest-idf rows, and kernel(ids, k) maps the (k,) ids of one text to
+    its vector, or a (k, texts) id matrix to the texts' vectors
+    (flattened or one row per text).  Texts are grouped by k and gathered
+    at most GATHER_ROWS ids per block, after the output is allocated.
+    Texts without an in-vocabulary token get a zero row and a False in
+    the mask.
     """
+    width, length, kernel = spec
+    vectors = np.zeros((len(encoded), width))
     groups: dict[int, list[int]] = {}
     for i, ids in enumerate(encoded):
         if ids:
@@ -196,53 +198,9 @@ def _blocks(
         step = max(1, GATHER_ROWS // k)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            yield k, chunk, np.array([encoded[i][:k] for i in chunk]).T
-
-
-def _represent_blocks(
-    encoded: Sequence[Sequence[int]],
-    width: int,
-    length: Callable[[int], int],
-    kernel: BlockKernel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The batch driver: (vectors, representable) of encoded texts.
-
-    Texts without an in-vocabulary token get a zero row and a False in
-    the mask.
-    """
-    vectors = np.zeros((len(encoded), width))
-    for k, chunk, ids in _blocks(encoded, length):
-        vectors[chunk] = kernel(ids, k).reshape(len(chunk), width)
+            ids = np.array([encoded[i][:k] for i in chunk]).T
+            vectors[chunk] = kernel(ids, k).reshape(len(chunk), width)
     return vectors, np.array([len(ids) > 0 for ids in encoded], dtype=bool)
-
-
-def _one_text(
-    table: EmbeddingTable,
-    key: list[float],
-    width: int,
-    length: Callable[[int], int],
-    kernel: BlockKernel,
-) -> Callable[[NormalizedText], np.ndarray]:
-    """The one-text driver: encode a text and run ``kernel`` on its ids.
-
-    The vector is allocated before the kernel's temporaries, as the batch
-    driver's output is.  Vectors that a caller keeps then pack together
-    instead of between freed gathers: returning the kernel's own block
-    raised peak RSS by 8-12 MB in a process that kept 6000 dim-300
-    vectors.
-    """
-    by_idf = key.__getitem__
-
-    def single(text: NormalizedText) -> np.ndarray:
-        ids = _text_ids(text, table, by_idf)
-        if not ids:
-            raise UnrepresentableText(text.tokens)
-        k = length(len(ids))
-        vector = np.empty(width)
-        vector[:] = kernel(ids[:k], k)
-        return vector
-
-    return single
 
 
 def rank_weights(model: WeightModel) -> list[np.ndarray]:
@@ -252,13 +210,15 @@ def rank_weights(model: WeightModel) -> list[np.ndarray]:
             for k in range(1, model.n_max + 1)]
 
 
-def _learned_kernel(vectors: np.ndarray, zs: list[np.ndarray]) -> BlockKernel:
+def _learned_spec(table: EmbeddingTable, zs: list[np.ndarray]) -> tuple:
+    vectors = table.vectors
+
     def kernel(ids, k: int) -> np.ndarray:
         block = zs[k - 1] @ vectors[ids].reshape(k, -1)  # texts * dim values
         block /= k
         return block
 
-    return kernel
+    return table.dimension, functools.partial(min, len(zs)), kernel
 
 
 def represent_learned(
@@ -272,61 +232,46 @@ def represent_learned(
     z_k V / k, where ``zs`` is ``rank_weights(model)``.  Texts without an
     in-vocabulary token get a zero row and a False in the mask.
     """
-    return _represent_blocks(encoded, table.dimension,
-                             functools.partial(min, len(zs)),
-                             _learned_kernel(table.vectors, zs))
+    return _represent_blocks(encoded, _learned_spec(table, zs))
 
 
-def _top30_count(m: int) -> int:
-    return max(1, math.ceil(0.3 * m))
-
-
-def _baseline_length(method: str) -> Callable[[int], int]:
-    return _top30_count if method.endswith("_top30") else (lambda m: m)
-
-
-def _baseline_width(table: EmbeddingTable, method: str) -> int:
-    return (2 if method.startswith("minmax") else 1) * table.dimension
-
-
-def _baseline_kernel(
-    vectors: np.ndarray, row_idf: np.ndarray, method: str
-) -> BlockKernel:
-    base = method.replace("_top30", "")
-    if base == "mean":
-        return lambda ids, k: vectors[ids].mean(axis=0)
-    if base == "max":
-        return lambda ids, k: vectors[ids].max(axis=0)
-    if base == "min":
-        return lambda ids, k: vectors[ids].min(axis=0)
-    if base.startswith("minmax"):
+def _baseline_spec(
+    table: EmbeddingTable, key: list[float], method: str
+) -> tuple:
+    """A fixed baseline's spec; ``key`` is ``_idf_by_row(table, idf)``."""
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline method {method!r}")
+    vectors, dim = table.vectors, table.dimension
+    top30 = method.endswith("_top30")
+    length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)
+    if method == "idf_weighted_mean":
+        row_idf = np.array(key)
+        return dim, length, lambda ids, k: np.einsum(
+            "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
+    if method.startswith("minmax"):
         def minmax(ids, k: int) -> np.ndarray:
             rows = vectors[ids]
             return np.concatenate((rows.min(axis=0), rows.max(axis=0)), axis=-1)
-        return minmax
-    # idf_weighted_mean
-    return lambda ids, k: np.einsum(
-        "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
+        return 2 * dim, length, minmax
+    reduce = getattr(np.ndarray, method.removesuffix("_top30"))  # mean/max/min
+    return dim, length, lambda ids, k: reduce(vectors[ids], axis=0)
 
 
 def represent_baseline(
     encoded: Sequence[Sequence[int]],
     table: EmbeddingTable,
-    row_idf: np.ndarray,
+    spec: tuple,
     method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-baseline aggregates of encoded texts: (vectors, representable).
 
-    The ``_top30`` variants keep the ceil(0.3 m) highest-idf rows, the
-    others all m; ``row_idf`` holds the idf of each table row's token.
-    Texts without an in-vocabulary token get a zero row and a False in
-    the mask.
+    ``spec`` is ``baseline_representer``'s spec of ``method`` over
+    ``table``: the ``_top30`` variants keep the ceil(0.3 m) highest-idf
+    rows, the others all m.  Traced benchmark runs name the call by
+    ``method``.  Texts without an in-vocabulary token get a zero row and
+    a False in the mask.
     """
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown baseline method {method!r}")
-    return _represent_blocks(encoded, _baseline_width(table, method),
-                             _baseline_length(method),
-                             _baseline_kernel(table.vectors, row_idf, method))
+    return _represent_blocks(encoded, spec)
 
 
 def tfidf_vector(text: NormalizedText, idf: IdfTable) -> dict[str, float]:
@@ -375,7 +320,7 @@ def distance(x, y, metric: str):
 
 @dataclass(frozen=True)
 class Representer:
-    """One text-to-vector block kernel behind two drivers.
+    """One text-to-vector method behind two drivers.
 
     ``batch(texts)`` returns (vectors, representable): one vector per
     text and a boolean mask of the texts that have a representation.
@@ -390,6 +335,40 @@ class Representer:
 
     def __call__(self, text: NormalizedText) -> Representation:
         return Representation(self.single(text))
+
+
+def _representer(
+    table: EmbeddingTable,
+    key: list[float],
+    spec: tuple,
+    represent: Callable[[list[list[int]]], tuple[np.ndarray, np.ndarray]],
+) -> Representer:
+    """``spec`` behind the batch entry point ``represent(encoded)`` and
+    the one-text driver, both fed by one per-text encoder.
+
+    The one-text driver runs the kernel on one text's k ids, with no
+    grouping, output matrix or mask.  It allocates the vector before the
+    kernel's temporaries, as the batch driver allocates its output.
+    Vectors that a caller keeps then pack together instead of between
+    freed gathers: returning the kernel's own block raised peak RSS by
+    8-12 MB in a process that kept 6000 dim-300 vectors.
+    """
+    encode_text = _encoder(table, key)
+    width, length, kernel = spec
+
+    def single(text: NormalizedText) -> np.ndarray:
+        ids = encode_text(text)
+        if not ids:
+            raise UnrepresentableText(text.tokens)
+        k = length(len(ids))
+        vector = np.empty(width)
+        vector[:] = kernel(ids[:k], k)
+        return vector
+
+    return Representer(
+        batch=lambda texts: represent(list(map(encode_text, texts))),
+        single=single,
+    )
 
 
 def learned_representer(
@@ -408,30 +387,19 @@ def learned_representer(
         )
     key = _idf_by_row(table, idf)
     zs = rank_weights(model)
-    return Representer(
-        batch=lambda texts: represent_learned(
-            _sorted_ids(texts, table, key), table, zs),
-        single=_one_text(table, key, table.dimension,
-                         functools.partial(min, model.n_max),
-                         _learned_kernel(table.vectors, zs)),
-    )
+    return _representer(table, key, _learned_spec(table, zs),
+                        lambda encoded: represent_learned(encoded, table, zs))
 
 
 def baseline_representer(
     table: EmbeddingTable, idf: IdfTable, method: str
 ) -> Representer:
     """A fixed baseline as a Representer."""
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown baseline method {method!r}")
     key = _idf_by_row(table, idf)
-    row_idf = np.array(key)
-    return Representer(
-        batch=lambda texts: represent_baseline(
-            _sorted_ids(texts, table, key), table, row_idf, method),
-        single=_one_text(table, key, _baseline_width(table, method),
-                         _baseline_length(method),
-                         _baseline_kernel(table.vectors, row_idf, method)),
-    )
+    spec = _baseline_spec(table, key, method)
+    return _representer(
+        table, key, spec,
+        lambda encoded: represent_baseline(encoded, table, spec, method))
 
 
 def tfidf_representer(idf: IdfTable) -> Representer:

@@ -94,6 +94,11 @@ def _load_tables(args):
     return table, _load_idf(args)
 
 
+def _read_pairs(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_pairs(fh)
+
+
 def cmd_idf_build(args):
     started = time.monotonic()
     with open(args.corpus, "r", encoding="utf-8") as fh:
@@ -154,9 +159,8 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args):
     started = time.monotonic()
     table, idf = _load_tables(args)
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        pairs = load_pairs(fh)
-    model, trace = train(pairs, table, idf, _train_config(args))
+    model, trace = train(_read_pairs(args.pairs), table, idf,
+                         _train_config(args))
     save_model(model, args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -176,8 +180,7 @@ def cmd_train(args):
 def cmd_grid_kappa(args):
     started = time.monotonic()
     table, idf = _load_tables(args)
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        pairs = load_pairs(fh)
+    pairs = _read_pairs(args.pairs)
     grid = [float(x) for x in args.grid.split(",")]
     config = _train_config(args)
     best, scores = grid_search_kappa(
@@ -193,7 +196,14 @@ def cmd_grid_kappa(args):
     return 0
 
 
-def _write_report(report, args, started, command, inputs):
+def _evaluate(args, started, command, inputs, pairs, representer, metric,
+              method_name):
+    """Score the (test, validation) ``pairs`` and write the report, the
+    --hist CSV and the manifest."""
+    test_pairs, val_pairs = pairs
+    report = evaluate_method(test_pairs, representer, metric,
+                             method_name=method_name, val_pairs=val_pairs,
+                             bins=args.bins)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.hist:
@@ -201,27 +211,19 @@ def _write_report(report, args, started, command, inputs):
             report.write_histogram_csv(fh)
     _write_manifest(args.report, command, args, inputs, started)
     print(report.summary(), file=sys.stderr)
+    return 0
 
 
 def cmd_eval(args):
     started = time.monotonic()
     table, idf = _load_tables(args)
     model = load_model(args.model)
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        test_pairs = load_pairs(fh)
-    with open(args.val, "r", encoding="utf-8") as fh:
-        val_pairs = load_pairs(fh)
-    report = evaluate_method(
-        test_pairs,
-        learned_representer(table, idf, model),
-        model.metric,
-        method_name=f"learned:{model.metadata.get('loss', 'unknown')}",
-        val_pairs=val_pairs,
-        bins=args.bins,
-    )
-    _write_report(report, args, started, "eval",
-                  [args.pairs, args.val, args.model, args.emb, args.df])
-    return 0
+    pairs = _read_pairs(args.pairs), _read_pairs(args.val)
+    return _evaluate(args, started, "eval",
+                     [args.pairs, args.val, args.model, args.emb, args.df],
+                     pairs, learned_representer(table, idf, model),
+                     model.metric,
+                     f"learned:{model.metadata.get('loss', 'unknown')}")
 
 
 def cmd_baseline_eval(args):
@@ -239,20 +241,9 @@ def cmd_baseline_eval(args):
         representer = baseline_representer(table, idf, args.method)
         metric = args.metric
         inputs = [args.pairs, args.val, args.emb, args.df]
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        test_pairs = load_pairs(fh)
-    with open(args.val, "r", encoding="utf-8") as fh:
-        val_pairs = load_pairs(fh)
-    report = evaluate_method(
-        test_pairs,
-        representer,
-        metric,
-        method_name=args.method,
-        val_pairs=val_pairs,
-        bins=args.bins,
-    )
-    _write_report(report, args, started, "baseline-eval", inputs)
-    return 0
+    pairs = _read_pairs(args.pairs), _read_pairs(args.val)
+    return _evaluate(args, started, "baseline-eval", inputs, pairs,
+                     representer, metric, args.method)
 
 
 def cmd_embed(args):

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import evaluate  # optimal_split is read per call, so a wrapper sees it
 from .aggregate import WeightModel, encode, interpolation_matrix
 from .embeddings import EmbeddingTable, IdfTable
 from .pairgen import TextPair
@@ -240,7 +241,6 @@ def train_couples(
     model = WeightModel(
         n_max=config.n_max,
         weights=w,
-        metric="euclidean",
         metadata={
             "loss": config.loss,
             "kappa": config.kappa,
@@ -276,8 +276,6 @@ def grid_search_kappa(
     Folds are stratified by label.  Ties break toward the smaller kappa;
     a fold that fails to train scores that kappa as error 1.0.
     """
-    from .evaluate import optimal_split
-
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if not grid:
@@ -299,7 +297,7 @@ def grid_search_kappa(
             try:
                 model, _ = train_couples(couples[fold != k], fold_config)
                 held_d, _ = _distances_and_gradients(held_out, model.weights)
-                _, err = optimal_split(held_d, held_out.labels)
+                _, err = evaluate.optimal_split(held_d, held_out.labels)
                 errors.append(err)
             except (ValueError, FloatingPointError) as exc:
                 warnings.warn(f"fold {k} failed for kappa={kappa}: {exc}")

@@ -500,7 +500,6 @@ class TestModelIO:
         model = WeightModel(
             n_max=3,
             weights=np.array([0.5, 0.25, 0.125]),
-            metric="euclidean",
             metadata={"loss": "median", "kappa": 160.0, "lambda": 0.001, "seed": 1},
         )
         path = tmp_path / "model.json"

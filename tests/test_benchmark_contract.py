@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from textrep import aggregate
 from textrep.aggregate import (
     BASELINE_METHODS,
+    WeightModel,
     baseline_representer,
     learned_representer,
 )
@@ -83,3 +85,33 @@ def test_library_round_calls():
     vector = represent(normalize("T0W0 and S0!")).vector
     assert vector.shape == (table.dimension,)
     assert np.all(np.isfinite(vector))
+
+
+def test_representer_batches_reach_traced_entry_points(monkeypatch):
+    # The tracer spans aggregate.represent_learned and represent_baseline,
+    # and names a baseline's span by represent_baseline's 4th positional
+    # argument, so a representer's batch must call both through
+    # aggregate's module globals, with the method passed positionally.
+    calls = []
+
+    def recorder(name):
+        original = getattr(aggregate, name)
+
+        def record(*args, **kwargs):
+            calls.append((name, args[3] if len(args) > 3 else None, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(aggregate, name, record)
+
+    recorder("represent_learned")
+    recorder("represent_baseline")
+    table, idf, pairs = make_pairs(n_related=4, n_nonrelated=4, seed=4)
+    texts = [pair.text_a for pair in pairs]
+    model = WeightModel(n_max=3, weights=np.ones(3))
+
+    learned_representer(table, idf, model).batch(texts)
+    assert calls == [("represent_learned", None, {})]
+    for method in BASELINE_METHODS:
+        calls.clear()
+        baseline_representer(table, idf, method).batch(texts)
+        assert calls == [("represent_baseline", method, {})]
