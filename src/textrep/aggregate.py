@@ -86,6 +86,13 @@ class WeightModel:
     @classmethod
     def from_json(cls, text: str) -> "WeightModel":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("model file must hold a JSON object")
+        # type(), not isinstance(): JSON true is a bool, not an n_max.
+        for key, kind, name in (("n_max", int, "an integer"),
+                                ("weights", list, "a list")):
+            if type(doc.get(key)) is not kind:
+                raise ValueError(f"model file needs {key!r} as {name}")
         model = cls(
             n_max=doc["n_max"],
             weights=np.array(doc["weights"], dtype=np.float64),

@@ -67,10 +67,10 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command: str, args: argparse.Namespace,
-                    inputs: list, started: float) -> None:
+def _write_manifest(out_path, args: argparse.Namespace, inputs: list,
+                    started: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {
             k: v for k, v in sorted(vars(args).items()) if k != "func"
         },
@@ -100,7 +100,6 @@ def _read_pairs(path):
 
 
 def cmd_idf_build(args):
-    started = time.monotonic()
     with open(args.corpus, "r", encoding="utf-8") as fh:
         documents = (
             normalize(line).tokens for line in fh if line.strip()
@@ -110,34 +109,27 @@ def cmd_idf_build(args):
         raise ValueError("corpus contains no documents")
     with open(args.out, "w", encoding="utf-8") as fh:
         save_doc_freq(doc_freq, n_docs, fh)
-    _write_manifest(args.out, "idf-build", args, [args.corpus], started)
-    print(f"wrote df for {len(doc_freq)} tokens over {n_docs} documents "
-          f"to {args.out}", file=sys.stderr)
-    return 0
+    return (args.out, [args.corpus],
+            f"wrote df for {len(doc_freq)} tokens over {n_docs} documents "
+            f"to {args.out}")
 
 
 def cmd_pairs_wiki(args):
-    started = time.monotonic()
     with open(args.corpus, "r", encoding="utf-8") as fh:
         articles = load_articles(fh)
     pairs = wiki_pairs(articles, args.nmin, args.nmax, args.count, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
-    _write_manifest(args.out, "pairs-wiki", args, [args.corpus], started)
-    print(f"wrote {len(pairs)} pairs to {args.out}", file=sys.stderr)
-    return 0
+    return args.out, [args.corpus], f"wrote {len(pairs)} pairs to {args.out}"
 
 
 def cmd_pairs_tweets(args):
-    started = time.monotonic()
     with open(args.tweets, "r", encoding="utf-8") as fh:
         tweets = load_tweets(fh)
     pairs = tweet_pairs(tweets, args.count, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
-    _write_manifest(args.out, "pairs-tweets", args, [args.tweets], started)
-    print(f"wrote {len(pairs)} pairs to {args.out}", file=sys.stderr)
-    return 0
+    return args.out, [args.tweets], f"wrote {len(pairs)} pairs to {args.out}"
 
 
 def _train_config(args) -> TrainConfig:
@@ -157,7 +149,6 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args):
-    started = time.monotonic()
     table, idf = _load_tables(args)
     model, trace = train(_read_pairs(args.pairs), table, idf,
                          _train_config(args))
@@ -170,15 +161,11 @@ def cmd_train(args):
                     f"{rec.epoch}\t{rec.mean_loss:.10g}\t{rec.eta:g}\t"
                     f"{rec.wall_seconds:.3f}\n"
                 )
-    _write_manifest(args.out, "train", args,
-                    [args.pairs, args.emb, args.df], started)
-    print(f"trained {len(trace)} epochs; model written to {args.out}",
-          file=sys.stderr)
-    return 0
+    return (args.out, [args.pairs, args.emb, args.df],
+            f"trained {len(trace)} epochs; model written to {args.out}")
 
 
 def cmd_grid_kappa(args):
-    started = time.monotonic()
     table, idf = _load_tables(args)
     pairs = _read_pairs(args.pairs)
     grid = [float(x) for x in args.grid.split(",")]
@@ -190,16 +177,12 @@ def cmd_grid_kappa(args):
            "scores": {str(k): v for k, v in sorted(scores.items())}}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, "grid-kappa", args,
-                    [args.pairs, args.emb, args.df], started)
-    print(f"kappa_best={best}", file=sys.stderr)
-    return 0
+    return args.out, [args.pairs, args.emb, args.df], f"kappa_best={best}"
 
 
-def _evaluate(args, started, command, inputs, pairs, representer, metric,
-              method_name):
-    """Score the (test, validation) ``pairs`` and write the report, the
-    --hist CSV and the manifest."""
+def _evaluate(args, inputs, pairs, representer, metric, method_name):
+    """Score the (test, validation) ``pairs``, write the report and the
+    --hist CSV, and return what dispatch needs for the manifest."""
     test_pairs, val_pairs = pairs
     report = evaluate_method(test_pairs, representer, metric,
                              method_name=method_name, val_pairs=val_pairs,
@@ -209,17 +192,14 @@ def _evaluate(args, started, command, inputs, pairs, representer, metric,
     if args.hist:
         with open(args.hist, "w", encoding="utf-8") as fh:
             report.write_histogram_csv(fh)
-    _write_manifest(args.report, command, args, inputs, started)
-    print(report.summary(), file=sys.stderr)
-    return 0
+    return args.report, inputs, report.summary()
 
 
 def cmd_eval(args):
-    started = time.monotonic()
     table, idf = _load_tables(args)
     model = load_model(args.model)
     pairs = _read_pairs(args.pairs), _read_pairs(args.val)
-    return _evaluate(args, started, "eval",
+    return _evaluate(args,
                      [args.pairs, args.val, args.model, args.emb, args.df],
                      pairs, learned_representer(table, idf, model),
                      model.metric,
@@ -227,7 +207,6 @@ def cmd_eval(args):
 
 
 def cmd_baseline_eval(args):
-    started = time.monotonic()
     if args.method != "tfidf" and args.emb is None:
         raise UsageError("--emb is required unless --method is tfidf")
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
@@ -242,8 +221,7 @@ def cmd_baseline_eval(args):
         metric = args.metric
         inputs = [args.pairs, args.val, args.emb, args.df]
     pairs = _read_pairs(args.pairs), _read_pairs(args.val)
-    return _evaluate(args, started, "baseline-eval", inputs, pairs,
-                     representer, metric, args.method)
+    return _evaluate(args, inputs, pairs, representer, metric, args.method)
 
 
 def cmd_embed(args):
@@ -255,7 +233,6 @@ def cmd_embed(args):
     else:
         rep = baseline_representer(table, idf, args.method)(text)
     print(",".join(f"{v:.10g}" for v in rep.vector))
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -367,10 +344,17 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv=None) -> int:
+    """Run a subcommand; all but embed return (output, inputs, summary)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        done = args.func(args)
+        if done is not None:
+            out_path, inputs, summary = done
+            _write_manifest(out_path, args, inputs, started)
+            print(summary, file=sys.stderr)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -44,6 +44,11 @@ class TweetRecord:
     hashtags: frozenset[str]
     timestamp: int
 
+    def __post_init__(self):
+        # The one place hashtags are cleaned: lowercase, leading "#" off.
+        object.__setattr__(self, "hashtags", frozenset(
+            t.lower().lstrip("#") for t in self.hashtags))
+
 
 def jaccard(a: set, b: set) -> float:
     """|a ∩ b| / |a ∪ b|, with 0 for two empty sets."""
@@ -51,6 +56,19 @@ def jaccard(a: set, b: set) -> float:
     if union == 0:
         return 0.0
     return len(a & b) / union
+
+
+def _sample(draw, count: int) -> list:
+    """The non-None results of calling ``draw()`` until ``count`` are kept
+    or ``count * MAX_ATTEMPT_FACTOR`` calls are made."""
+    kept = []
+    for _ in range(count * MAX_ATTEMPT_FACTOR):
+        if len(kept) == count:
+            break
+        pair = draw()
+        if pair is not None:
+            kept.append(pair)
+    return kept
 
 
 def wiki_pairs(
@@ -80,73 +98,42 @@ def wiki_pairs(
 
     def draw_span(tokens, n):
         start = rng.randrange(0, len(tokens) - n + 1)
-        return tuple(tokens[start : start + n])
+        return NormalizedText(tuple(tokens[start : start + n]))
 
-    pairs: list[TextPair] = []
-    attempts_left = count * MAX_ATTEMPT_FACTOR
-
-    while len(pairs) < count and attempts_left > 0:
-        attempts_left -= 1
+    def related():
         n_a = rng.randint(n_min, n_max)
         n_b = rng.randint(n_min, n_max)
         _, para = paragraphs[rng.randrange(len(paragraphs))]
         needed = n_a + 2 + n_b
         if len(para) < needed:
-            continue
-        start = rng.randrange(0, len(para) - needed + 1)
-        span_a = tuple(para[start : start + n_a])
-        span_b = tuple(para[start + n_a + 2 : start + needed])
-        pairs.append(
-            TextPair(NormalizedText(span_a), NormalizedText(span_b), +1)
-        )
-    if len(pairs) < count:
-        raise PairGenerationError(
-            f"only {len(pairs)} of {count} related pairs extractable; "
-            f"paragraphs are too short for the requested lengths"
-        )
+            return None
+        span = draw_span(para, needed).tokens
+        return TextPair(NormalizedText(span[:n_a]),
+                        NormalizedText(span[n_a + 2:]), +1)
 
-    attempts_left = count * MAX_ATTEMPT_FACTOR
-    negatives: list[TextPair] = []
-    article_ids = sorted({ai for ai, _ in paragraphs})
-    if len(article_ids) < 2:
-        raise PairGenerationError("non-related pairs need at least 2 articles")
-    while len(negatives) < count and attempts_left > 0:
-        attempts_left -= 1
+    def nonrelated():
         n_a = rng.randint(n_min, n_max)
         n_b = rng.randint(n_min, n_max)
         ai_a, para_a = paragraphs[rng.randrange(len(paragraphs))]
         ai_b, para_b = paragraphs[rng.randrange(len(paragraphs))]
         if ai_a == ai_b or len(para_a) < n_a or len(para_b) < n_b:
-            continue
-        negatives.append(
-            TextPair(
-                NormalizedText(draw_span(para_a, n_a)),
-                NormalizedText(draw_span(para_b, n_b)),
-                -1,
-            )
+            return None
+        return TextPair(draw_span(para_a, n_a), draw_span(para_b, n_b), -1)
+
+    pairs = _sample(related, count)
+    if len(pairs) < count:
+        raise PairGenerationError(
+            f"only {len(pairs)} of {count} related pairs extractable; "
+            f"paragraphs are too short for the requested lengths"
         )
+    if len({ai for ai, _ in paragraphs}) < 2:
+        raise PairGenerationError("non-related pairs need at least 2 articles")
+    negatives = _sample(nonrelated, count)
     if len(negatives) < count:
         raise PairGenerationError(
             f"only {len(negatives)} of {count} non-related pairs extractable"
         )
     return pairs + negatives
-
-
-def _tweet_words(
-    record: TweetRecord, tokens: tuple[str, ...]
-) -> tuple[str, ...]:
-    """The tweet's normalized tokens excluding hashtag words (mentions and
-    URLs are already dropped by normalize)."""
-    tags = {t.lower() for t in record.hashtags}
-    return tuple(t for t in tokens if t not in tags)
-
-
-def _clean_tags(record: TweetRecord) -> frozenset[str]:
-    return frozenset(
-        t.lower().lstrip("#")
-        for t in record.hashtags
-        if t.lower().lstrip("#") not in NON_INFORMATIVE_TAGS
-    )
 
 
 def tweet_pairs(
@@ -160,73 +147,50 @@ def tweet_pairs(
     shared by both tweets are removed from the emitted token sequences.
     """
     rng = random.Random(seed)
-    prepared = []
-    for record in tweets:
-        tokens = normalize(record.text).tokens
-        words = _tweet_words(record, tokens)
-        prepared.append(
-            (record, words, set(words), _clean_tags(record), tokens)
+    tokens = [normalize(record.text).tokens for record in tweets]
+    # Words exclude every hashtag; mentions and URLs are already dropped
+    # by normalize.  Tags exclude the non-informative ones.
+    words = [tuple(t for t in toks if t not in record.hashtags)
+             for toks, record in zip(tokens, tweets)]
+    tags = [record.hashtags - NON_INFORMATIVE_TAGS for record in tweets]
+    rejections = dict.fromkeys(
+        ("rule1_words", "rule2_hashtags", "rule3_time", "rule4_overlap"), 0)
+
+    def rejected_by(i, j, label):
+        """The first rule that tweets i and j fail as a ``label`` pair, or
+        None; counted in ``rejections``."""
+        if len(words[i]) < 5 or len(words[j]) < 5:
+            rule = "rule1_words"
+        elif (jaccard(tags[i], tags[j]) < 0.5 if label == +1
+              else tags[i] & tags[j]):
+            rule = "rule2_hashtags"
+        elif (label == +1
+              and abs(tweets[i].timestamp - tweets[j].timestamp) > 900):
+            rule = "rule3_time"
+        elif jaccard(set(words[i]), set(words[j])) >= 0.5:
+            rule = "rule4_overlap"
+        else:
+            return None
+        rejections[rule] += 1
+        return rule
+
+    def draw(label):
+        i = rng.randrange(len(tweets))
+        j = rng.randrange(len(tweets))
+        if i == j or rejected_by(i, j, label):
+            return None
+        # Shared tags are hashtags, so each text keeps its >= 5 words.
+        overlap = tags[i] & tags[j]
+        return TextPair(
+            NormalizedText(tuple(t for t in tokens[i] if t not in overlap)),
+            NormalizedText(tuple(t for t in tokens[j] if t not in overlap)),
+            label,
         )
 
-    rejections = {"rule1_words": 0, "rule2_hashtags": 0, "rule3_time": 0,
-                  "rule4_overlap": 0}
-
-    def emit(pa, pb, label):
-        (_, _, _, tags_a, all_a) = pa
-        (_, _, _, tags_b, all_b) = pb
-        overlap = tags_a & tags_b
-        tokens_a = tuple(t for t in all_a if t not in overlap)
-        tokens_b = tuple(t for t in all_b if t not in overlap)
-        if not tokens_a or not tokens_b:
-            return None
-        return TextPair(NormalizedText(tokens_a), NormalizedText(tokens_b), label)
-
-    def related_ok(pa, pb):
-        if len(pa[1]) < 5 or len(pb[1]) < 5:
-            rejections["rule1_words"] += 1
-            return False
-        if jaccard(pa[3], pb[3]) < 0.5:
-            rejections["rule2_hashtags"] += 1
-            return False
-        if abs(pa[0].timestamp - pb[0].timestamp) > 900:
-            rejections["rule3_time"] += 1
-            return False
-        if jaccard(pa[2], pb[2]) >= 0.5:
-            rejections["rule4_overlap"] += 1
-            return False
-        return True
-
-    def nonrelated_ok(pa, pb):
-        if len(pa[1]) < 5 or len(pb[1]) < 5:
-            rejections["rule1_words"] += 1
-            return False
-        if jaccard(pa[3], pb[3]) != 0.0:
-            rejections["rule2_hashtags"] += 1
-            return False
-        if jaccard(pa[2], pb[2]) >= 0.5:
-            rejections["rule4_overlap"] += 1
-            return False
-        return True
-
-    def collect(predicate, label):
-        out = []
-        attempts_left = count * MAX_ATTEMPT_FACTOR
-        while len(out) < count and attempts_left > 0:
-            attempts_left -= 1
-            i = rng.randrange(len(prepared))
-            j = rng.randrange(len(prepared))
-            if i == j:
-                continue
-            if predicate(prepared[i], prepared[j]):
-                pair = emit(prepared[i], prepared[j], label)
-                if pair is not None:
-                    out.append(pair)
-        return out
-
-    if len(prepared) < 2:
+    if len(tweets) < 2:
         raise PairGenerationError("need at least two tweets")
-    related = collect(related_ok, +1)
-    nonrelated = collect(nonrelated_ok, -1)
+    related = _sample(lambda: draw(+1), count)
+    nonrelated = _sample(lambda: draw(-1), count)
     if len(related) < count or len(nonrelated) < count:
         worst = max(rejections, key=rejections.get)
         raise PairGenerationError(
@@ -246,12 +210,13 @@ def load_tweets(source: IO[str]) -> list[TweetRecord]:
             continue
         try:
             doc = json.loads(line)
+            text, tags = doc["text"], doc["hashtags"]
+            if not (isinstance(text, str) and isinstance(tags, list)
+                    and all(isinstance(t, str) for t in tags)):
+                raise TypeError("text must be a string and hashtags a "
+                                "list of strings")
             records.append(
-                TweetRecord(
-                    text=doc["text"],
-                    hashtags=frozenset(t.lower() for t in doc["hashtags"]),
-                    timestamp=int(doc["timestamp"]),
-                )
+                TweetRecord(text, frozenset(tags), int(doc["timestamp"]))
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(

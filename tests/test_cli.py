@@ -368,6 +368,31 @@ class TestDataErrors:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_max": "2", "weights": [1.0, 0.5]}, "needs 'n_max' as an integer"),
+        ({"n_max": True, "weights": [1.0]}, "needs 'n_max' as an integer"),
+        ({"n_max": 2.0, "weights": [1.0, 0.5]}, "needs 'n_max' as an integer"),
+        ({"weights": [1.0, 0.5]}, "needs 'n_max' as an integer"),
+        ({"n_max": 2}, "needs 'weights' as a list"),
+        ({"n_max": 2, "weights": {"w": 1.0}}, "needs 'weights' as a list"),
+        ([2, [1.0, 0.5]], "must hold a JSON object"),
+    ], ids=["string_n_max", "bool_n_max", "float_n_max", "missing_n_max",
+            "missing_weights", "object_weights", "not_an_object"])
+    def test_malformed_model_file(self, workdir, tmp_path, capsys, doc,
+                                  message):
+        message = f"error: model file {message}\n"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        common = ("--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
+                  "--model", model_path)
+        assert run("embed", *common, "--text", "t0w1 s3") == 2
+        assert capsys.readouterr().err == message
+        assert run("eval", *common, "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv",
+                   "--report", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r.json").exists()
+
     def test_model_without_metric_is_euclidean(self, workdir, tmp_path,
                                                capsys):
         model_path = tmp_path / "model.json"
@@ -380,7 +405,12 @@ class TestDataErrors:
     @pytest.mark.parametrize("record", [
         {"text": "a b c d e #x", "hashtags": ["x"]},
         [1, 2],
-    ], ids=["missing_timestamp", "not_an_object"])
+        {"text": "a b c d e #x", "hashtags": "x", "timestamp": 0},
+        {"text": "a b c d e #x", "hashtags": {"x": 1}, "timestamp": 0},
+        {"text": "a b c d e #x", "hashtags": ["x", 1], "timestamp": 0},
+        {"text": 7, "hashtags": ["x"], "timestamp": 0},
+    ], ids=["missing_timestamp", "not_an_object", "string_hashtags",
+            "object_hashtags", "non_string_hashtag", "non_string_text"])
     def test_malformed_tweet_record(self, tmp_path, capsys, record):
         tweets = tmp_path / "tweets.jsonl"
         good = {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": 0}

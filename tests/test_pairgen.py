@@ -92,6 +92,28 @@ class TestWikiPairs:
             assert 10 <= len(p.text_a.tokens) <= 30
             assert 10 <= len(p.text_b.tokens) <= 30
 
+    def test_pinned_output(self):
+        # Pins the sampler's RNG calls and their order: both span lengths
+        # vary, so reordering any draw changes these spans.
+        def span(first, n):
+            prefix, start = first.split("t")
+            return NormalizedText(
+                tuple(f"{prefix}t{k}" for k in range(int(start),
+                                                      int(start) + n)))
+
+        expected = [
+            (+1, "a3p2t11", 29, "a3p2t42", 18),
+            (+1, "a0p0t1", 30, "a0p0t33", 26),
+            (+1, "a0p1t2", 17, "a0p1t21", 30),
+            (-1, "a5p0t24", 13, "a2p1t34", 21),
+            (-1, "a2p1t46", 13, "a0p0t13", 28),
+            (-1, "a1p2t10", 23, "a4p0t4", 18),
+        ]
+        assert wiki_pairs(self.corpus(), 10, 30, 3, seed=5) == [
+            TextPair(span(a, n_a), span(b, n_b), label)
+            for label, a, n_a, b, n_b in expected
+        ]
+
 
 def tweet(text, tags, ts):
     return TweetRecord(text=text, hashtags=frozenset(tags), timestamp=ts)
@@ -187,6 +209,27 @@ class TestTweetPairs:
         got = [(p.label, " ".join(p.text_a.tokens), " ".join(p.text_b.tokens))
                for p in pairs]
         assert got == expected
+
+    def test_hash_prefix_and_case_of_tags_are_ignored(self):
+        # A tag given as "#Storm" is the tag "storm": it is not one of the
+        # tweet's words, so it counts toward neither rule 1 nor rule 4.
+        def variant(prefix):
+            return [tweet(t.text, {prefix + tag.title() for tag in t.hashtags},
+                          t.timestamp) for t in mixed_corpus()]
+
+        assert variant("#")[0].hashtags == frozenset({"storm"})
+        assert (tweet_pairs(variant("#"), 3, seed=1)
+                == tweet_pairs(variant(""), 3, seed=1)
+                == tweet_pairs(mixed_corpus(), 3, seed=1))
+
+    def test_hash_tag_is_not_a_word(self):
+        # Four words plus the tag: rule 1 rejects it whether or not the tag
+        # is given with "#".
+        for tag in ("storm", "#storm", "#Storm"):
+            a = tweet("one two three four #storm", {tag}, 0)
+            b = tweet("zeta eta theta iota kappa #storm", {tag}, 60)
+            with pytest.raises(PairGenerationError, match="rule1_words"):
+                tweet_pairs([a, b], 1, seed=0)
 
     def test_noninformative_tags_ignored(self):
         # a #breaking tag must not break the hashtag-Jaccard >= 0.5 rule
