@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .aggregate import (
     BASELINE_METHODS,
-    UnrepresentableText,
     baseline_representer,
     learned_representer,
     load_model,
@@ -29,7 +28,6 @@ from .aggregate import (
     tfidf_representer,
 )
 from .embeddings import (
-    EmbeddingParseError,
     compute_idf,
     count_doc_freq,
     load_doc_freq,
@@ -39,7 +37,6 @@ from .embeddings import (
 from .evaluate import evaluate_method
 from .learn import TrainConfig, grid_search_kappa, train
 from .pairgen import (
-    PairGenerationError,
     load_articles,
     load_pairs,
     load_tweets,
@@ -241,6 +238,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_train_flags(p):
+        for flag in ("--pairs", "--emb", "--df", "--out"):
+            p.add_argument(flag, required=True)
         p.add_argument("--loss", choices=("contrastive", "median"),
                        default="median", help="training loss (default median)")
         p.add_argument("--kappa", type=float, default=160.0,
@@ -288,22 +287,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_pairs_tweets)
 
     p = sub.add_parser("train", help="train rank weights")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--emb", required=True)
-    p.add_argument("--df", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None, help="epoch-loss TSV path")
     add_common_train_flags(p)
+    p.add_argument("--log", default=None, help="epoch-loss TSV path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-kappa", help="cross-validated kappa search")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--emb", required=True)
-    p.add_argument("--df", required=True)
-    p.add_argument("--out", required=True)
+    add_common_train_flags(p)
     p.add_argument("--grid", default="10,20,40,80,160,320")
     p.add_argument("--folds", type=int, default=5)
-    add_common_train_flags(p)
     p.set_defaults(func=cmd_grid_kappa)
 
     p = sub.add_parser("eval", help="evaluate a trained model")
@@ -358,8 +349,7 @@ def dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (EmbeddingParseError, PairGenerationError, UnrepresentableText,
-            ValueError, FloatingPointError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:  # data errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,11 +39,9 @@ class EvalReport:
     def write_histogram_csv(self, sink: IO[str]) -> None:
         """Rows "bin_low,bin_high,count_related,count_nonrelated"."""
         sink.write("bin_low,bin_high,count_related,count_nonrelated\n")
-        for i in range(len(self.histogram_related)):
-            sink.write(
-                f"{self.bin_edges[i]},{self.bin_edges[i + 1]},"
-                f"{self.histogram_related[i]},{self.histogram_nonrelated[i]}\n"
-            )
+        for row in zip(self.bin_edges, self.bin_edges[1:],
+                       self.histogram_related, self.histogram_nonrelated):
+            sink.write(",".join(map(str, row)) + "\n")
 
 
 def split_error(
@@ -231,8 +229,7 @@ def evaluate_method(
     else:
         js = 0.0
         edges = np.linspace(0.0, 1.0, bins + 1)
-        hist_r = np.zeros(bins, dtype=int)
-        hist_n = np.zeros(bins, dtype=int)
+        hist_r = hist_n = np.zeros(bins, dtype=int)
 
     return EvalReport(
         method_name=method_name,

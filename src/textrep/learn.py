@@ -13,6 +13,7 @@ gradient step.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 import warnings
@@ -25,6 +26,13 @@ from . import evaluate  # optimal_split is read per call, so a wrapper sees it
 from .aggregate import WeightModel, encode, interpolation_matrix
 from .embeddings import EmbeddingTable, IdfTable
 from .pairgen import TextPair
+
+# glibc's int malloc_trim(size_t pad), looked up in the running process;
+# None elsewhere.
+_malloc_trim = getattr(ctypes.pythonapi, "malloc_trim", None)
+if _malloc_trim is not None:
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,10 @@ def prepare_couples(
         table, idf,
     )
     kept = [i for i in range(n) if encoded[i] and encoded[n + i]]
+    # Free heap pages go back to the OS before training's largest block,
+    # so peak memory does not hinge on some freed hole fitting the stack.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     grams = np.empty((len(kept), n_max, n_max))
     for row, i in enumerate(kept):
         grams[row] = couple_gram(table.vectors[encoded[i][:n_max]],

@@ -56,9 +56,8 @@ _DROP_PUNCTUATION = _PunctuationTable()
 def _replace_digit_run(match: re.Match, text: str) -> str:
     # Runs touching a letter are replaced in place ("b2b" -> "b0b");
     # standalone runs become their own "0" token.
-    before = text[match.start() - 1] if match.start() > 0 else ""
-    after = text[match.end()] if match.end() < len(text) else ""
-    if (before and before.isalpha()) or (after and after.isalpha()):
+    start, end = match.span()
+    if text[start - 1 : start].isalpha() or text[end : end + 1].isalpha():
         return "0"
     return " 0 "
 

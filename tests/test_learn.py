@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -364,6 +365,18 @@ class TestTrain:
         m1, _ = train(subset, table, idf, config)
         m2, _ = train(subset, table, idf, config)
         assert np.array_equal(m1.weights, m2.weights)
+
+    def test_prepare_couples_trims_the_heap_first(self, small_world,
+                                                  monkeypatch):
+        """Free heap pages go back before the Gram stack is allocated, so
+        peak memory does not hinge on a freed hole fitting the stack."""
+        if platform.libc_ver()[0] == "glibc":
+            assert learn_mod._malloc_trim is not None
+        calls = []
+        monkeypatch.setattr(learn_mod, "_malloc_trim", calls.append)
+        table, idf, pairs = small_world
+        learn_mod.prepare_couples(pairs[:10], table, idf, 5)
+        assert calls == [0]
 
     def test_rejects_odd_batch(self):
         with pytest.raises(ValueError):
