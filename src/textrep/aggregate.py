@@ -88,17 +88,18 @@ class WeightModel:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("model file must hold a JSON object")
-        # type(), not isinstance(): JSON true is a bool, not an n_max.
+        doc.setdefault("metadata", {})
+        # type(), not isinstance(): JSON true is a bool, not a number.
         for key, kind, name in (("n_max", int, "an integer"),
-                                ("weights", list, "a list")):
+                                ("weights", list, "a list"),
+                                ("metadata", dict, "an object")):
             if type(doc.get(key)) is not kind:
                 raise ValueError(f"model file needs {key!r} as {name}")
-        model = cls(
-            n_max=doc["n_max"],
-            weights=np.array(doc["weights"], dtype=np.float64),
-            normalization_version=doc.get("normalization_version", "v1"),
-            metadata=doc.get("metadata", {}),
-        )
+        if not all(type(w) in (int, float) for w in doc["weights"]):
+            raise ValueError("model file needs 'weights' as a list of numbers")
+        version = doc.get("normalization_version", "v1")
+        model = cls(n_max=doc["n_max"], weights=doc["weights"],
+                    normalization_version=version, metadata=doc["metadata"])
         metric = doc.get("metric", cls.metric)
         if metric != cls.metric:
             raise ValueError(f"model metric must be 'euclidean', got {metric!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ from .embeddings import (
     save_doc_freq,
 )
 from .evaluate import evaluate_method
-from .learn import TrainConfig, grid_search_kappa, train
+from .learn import LOSSES, TrainConfig, grid_search_kappa, train
 from .pairgen import (
     load_articles,
     load_pairs,
@@ -129,26 +130,42 @@ def cmd_pairs_tweets(args):
     return args.out, [args.tweets], f"wrote {len(pairs)} pairs to {args.out}"
 
 
+# The training flags and the TrainConfig field each one sets; the field
+# holds the flag's default and its valid range.
+TRAIN_FLAGS = (
+    ("--loss", "loss", "training loss"),
+    ("--kappa", "kappa", "median-loss scale"),
+    ("--lambda", "lam", "L2 regularization strength"),
+    ("--batch", "batch_size", "minibatch size, even, 50/50 labels"),
+    ("--eta", "eta_initial", "initial learning rate"),
+    ("--eta-reduced", "eta_reduced", "reduced learning rate"),
+    ("--stop-delta", "stop_delta", "epoch-loss improvement stop threshold"),
+    ("--nmax", "n_max", "number of rank weights"),
+    ("--init-weight", "init_weight", "initial weight value"),
+    ("--max-epochs", "max_epochs", "safety cap on epochs"),
+)
+
+
+def _dest(flag: str) -> str:
+    """A flag's argparse dest, its manifest config key; --lambda keeps
+    "lam", because lambda is a Python keyword."""
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+
+
+def _default(func, name: str):
+    """The default that ``func`` declares for its parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        loss=args.loss,
-        kappa=args.kappa,
-        lam=args.lam,
-        batch_size=args.batch,
-        eta_initial=args.eta,
-        eta_reduced=args.eta_reduced,
-        stop_delta=args.stop_delta,
-        seed=args.seed,
-        n_max=args.nmax,
-        init_weight=args.init_weight,
-        max_epochs=args.max_epochs,
-    )
+    return TrainConfig(seed=args.seed, **{
+        field: getattr(args, _dest(flag)) for flag, field, _ in TRAIN_FLAGS})
 
 
 def cmd_train(args):
+    config = _train_config(args)
     table, idf = _load_tables(args)
-    model, trace = train(_read_pairs(args.pairs), table, idf,
-                         _train_config(args))
+    model, trace = train(_read_pairs(args.pairs), table, idf, config)
     save_model(model, args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -163,13 +180,11 @@ def cmd_train(args):
 
 
 def cmd_grid_kappa(args):
-    table, idf = _load_tables(args)
-    pairs = _read_pairs(args.pairs)
-    grid = [float(x) for x in args.grid.split(",")]
     config = _train_config(args)
-    best, scores = grid_search_kappa(
-        pairs, table, idf, config, grid=grid, folds=args.folds
-    )
+    grid = [float(x) for x in args.grid.split(",")]
+    table, idf = _load_tables(args)
+    best, scores = grid_search_kappa(_read_pairs(args.pairs), table, idf,
+                                     config, grid=grid, folds=args.folds)
     doc = {"kappa_best": best,
            "scores": {str(k): v for k, v in sorted(scores.items())}}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -177,13 +192,13 @@ def cmd_grid_kappa(args):
     return args.out, [args.pairs, args.emb, args.df], f"kappa_best={best}"
 
 
-def _evaluate(args, inputs, pairs, representer, metric, method_name):
-    """Score the (test, validation) ``pairs``, write the report and the
-    --hist CSV, and return what dispatch needs for the manifest."""
-    test_pairs, val_pairs = pairs
-    report = evaluate_method(test_pairs, representer, metric,
-                             method_name=method_name, val_pairs=val_pairs,
-                             bins=args.bins)
+def _evaluate(args, inputs, representer, metric, method_name):
+    """Score the --pairs test split with theta fitted on --val, write the
+    report and the --hist CSV, and return what dispatch needs for the
+    manifest."""
+    report = evaluate_method(_read_pairs(args.pairs), representer, metric,
+                             method_name=method_name,
+                             val_pairs=_read_pairs(args.val), bins=args.bins)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.hist:
@@ -195,10 +210,9 @@ def _evaluate(args, inputs, pairs, representer, metric, method_name):
 def cmd_eval(args):
     table, idf = _load_tables(args)
     model = load_model(args.model)
-    pairs = _read_pairs(args.pairs), _read_pairs(args.val)
     return _evaluate(args,
                      [args.pairs, args.val, args.model, args.emb, args.df],
-                     pairs, learned_representer(table, idf, model),
+                     learned_representer(table, idf, model),
                      model.metric,
                      f"learned:{model.metadata.get('loss', 'unknown')}")
 
@@ -217,8 +231,7 @@ def cmd_baseline_eval(args):
         representer = baseline_representer(table, idf, args.method)
         metric = args.metric
         inputs = [args.pairs, args.val, args.emb, args.df]
-    pairs = _read_pairs(args.pairs), _read_pairs(args.val)
-    return _evaluate(args, inputs, pairs, representer, metric, args.method)
+    return _evaluate(args, inputs, representer, metric, args.method)
 
 
 def cmd_embed(args):
@@ -236,101 +249,67 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="textrep", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = TrainConfig()
 
-    def add_common_train_flags(p):
-        for flag in ("--pairs", "--emb", "--df", "--out"):
-            p.add_argument(flag, required=True)
-        p.add_argument("--loss", choices=("contrastive", "median"),
-                       default="median", help="training loss (default median)")
-        p.add_argument("--kappa", type=float, default=160.0,
-                       help="median-loss scale (default 160)")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.001,
-                       help="L2 regularization strength (default 0.001)")
-        p.add_argument("--batch", type=int, default=100,
-                       help="minibatch size, even, 50/50 labels (default 100)")
-        p.add_argument("--eta", type=float, default=0.01,
-                       help="initial learning rate (default 0.01)")
-        p.add_argument("--eta-reduced", type=float, default=0.001,
-                       help="reduced learning rate (default 0.001)")
-        p.add_argument("--stop-delta", type=float, default=0.0005,
-                       help="epoch-loss improvement stop threshold "
-                            "(default 0.0005)")
-        p.add_argument("--nmax", type=int, default=20,
-                       help="number of rank weights (default 20)")
-        p.add_argument("--init-weight", type=float, default=0.5,
-                       help="initial weight value (default 0.5)")
-        p.add_argument("--max-epochs", type=int, default=500,
-                       help="safety cap on epochs (default 500)")
-        p.add_argument("--seed", type=int, default=42,
-                       help="random seed (default 42)")
+    def defaulted(default, text, **keywords):
+        """A flag typed, defaulted and documented by a library default."""
+        shown = format(default, "g") if isinstance(default, float) else default
+        return dict(type=type(default), default=default,
+                    help=f"{text} (default {shown})", **keywords)
 
-    p = sub.add_parser("idf-build", help="count document frequencies")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_idf_build)
+    # Flag groups: flag -> add_argument keywords.  A flag shared by several
+    # subcommands is declared once, here.
+    need = {"required": True}
+    tables = {"--emb": need, "--df": need}
+    seed = {"--seed": defaulted(config.seed, "random seed")}
+    pairs = {"--out": need, "--count": dict(
+        type=int, required=True,
+        help="pairs per label (output is 2*count lines)"), **seed}
+    training = {"--pairs": need, **tables, "--out": need, **{
+        flag: defaulted(getattr(config, field), text, dest=_dest(flag),
+                        choices=LOSSES if field == "loss" else None)
+        for flag, field, text in TRAIN_FLAGS}, **seed}
+    scoring = {
+        "--pairs": dict(required=True, help="test pairs TSV"),
+        "--val": dict(required=True, help="validation pairs TSV"),
+        **tables, "--report": need, "--hist": {},
+        "--bins": defaulted(_default(evaluate_method, "bins"),
+                            "histogram bins"),
+    }
+    grid = ",".join(f"{k:g}" for k in _default(grid_search_kappa, "grid"))
 
-    p = sub.add_parser("pairs-wiki", help="span pairs from a paragraph corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, required=True,
-                   help="pairs per label (output is 2*count lines)")
-    p.add_argument("--nmin", type=int, default=20)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_pairs_wiki)
-
-    p = sub.add_parser("pairs-tweets", help="hashtag-paired tweets")
-    p.add_argument("--tweets", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_pairs_tweets)
-
-    p = sub.add_parser("train", help="train rank weights")
-    add_common_train_flags(p)
-    p.add_argument("--log", default=None, help="epoch-loss TSV path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("grid-kappa", help="cross-validated kappa search")
-    add_common_train_flags(p)
-    p.add_argument("--grid", default="10,20,40,80,160,320")
-    p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(func=cmd_grid_kappa)
-
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    p.add_argument("--pairs", required=True, help="test pairs TSV")
-    p.add_argument("--val", required=True, help="validation pairs TSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--emb", required=True)
-    p.add_argument("--df", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--hist", default=None)
-    p.add_argument("--bins", type=int, default=100)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("baseline-eval", help="evaluate a fixed baseline")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--emb", default=None,
-                   help="embedding file (not read by --method tfidf)")
-    p.add_argument("--df", required=True)
-    p.add_argument("--method", required=True,
-                   choices=BASELINE_METHODS + ("tfidf",))
-    p.add_argument("--metric", choices=("euclidean", "cosine"),
-                   default="euclidean")
-    p.add_argument("--report", required=True)
-    p.add_argument("--hist", default=None)
-    p.add_argument("--bins", type=int, default=100)
-    p.set_defaults(func=cmd_baseline_eval)
-
-    p = sub.add_parser("embed", help="print a text's representation as CSV")
-    p.add_argument("--emb", required=True)
-    p.add_argument("--df", required=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--method", default="mean", choices=BASELINE_METHODS)
-    p.add_argument("--text", required=True)
-    p.set_defaults(func=cmd_embed)
-
+    for name, func, text, flags in (
+        ("idf-build", cmd_idf_build, "count document frequencies",
+         {"--corpus": need, "--out": need}),
+        ("pairs-wiki", cmd_pairs_wiki, "span pairs from a paragraph corpus",
+         {"--corpus": need, **pairs, "--nmin": dict(type=int, default=20),
+          "--nmax": dict(type=int, default=20)}),
+        ("pairs-tweets", cmd_pairs_tweets, "hashtag-paired tweets",
+         {"--tweets": need, **pairs}),
+        ("train", cmd_train, "train rank weights",
+         {**training, "--log": dict(help="epoch-loss TSV path")}),
+        ("grid-kappa", cmd_grid_kappa, "cross-validated kappa search", {
+            **training, "--grid": defaulted(grid, "comma-separated kappas"),
+            "--folds": defaulted(_default(grid_search_kappa, "folds"),
+                                 "cross-validation folds")}),
+        ("eval", cmd_eval, "evaluate a trained model",
+         {**scoring, "--model": need}),
+        ("baseline-eval", cmd_baseline_eval, "evaluate a fixed baseline", {
+            **scoring,  # with --emb optional: tf-idf reads no embeddings
+            "--emb": dict(help="embedding file (not read by --method tfidf)"),
+            "--method": dict(required=True,
+                             choices=BASELINE_METHODS + ("tfidf",)),
+            "--metric": dict(choices=("euclidean", "cosine"),
+                             default="euclidean")}),
+        ("embed", cmd_embed, "print a text's representation as CSV", {
+            **tables, "--model": {},
+            "--method": dict(default="mean", choices=BASELINE_METHODS),
+            "--text": need}),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

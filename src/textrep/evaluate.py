@@ -208,6 +208,8 @@ def evaluate_method(
     pairs.  Unrepresentable test pairs are predicted non-related and
     reported separately, never silently dropped.
     """
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
     val_d, val_labels = pair_distances(val_pairs, representer, metric)
     val_kept = np.isfinite(val_d)
     if not val_kept.any():

@@ -50,8 +50,13 @@ class Couples:
         return Couples(self.grams[index], self.labels[index])
 
 
+LOSSES = ("contrastive", "median")
+
+
 @dataclass
 class TrainConfig:
+    """Training settings: the home of each one's default and valid range."""
+
     loss: str = "median"
     kappa: float = 160.0
     lam: float = 0.001
@@ -65,14 +70,25 @@ class TrainConfig:
     max_epochs: int = 500
 
     def __post_init__(self):
-        if self.loss not in ("contrastive", "median"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 2 or self.batch_size % 2:
-            raise ValueError("batch_size must be even and >= 2")
-        if not self.eta_reduced < self.eta_initial:
-            raise ValueError("eta_reduced must be below eta_initial")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        inf = math.inf
+        for name, valid, rule in (
+            ("loss", self.loss in LOSSES, f"one of {LOSSES}"),
+            ("kappa", 0 < self.kappa < inf, "finite and > 0"),
+            ("lam", 0 <= self.lam < inf, "finite and >= 0"),
+            ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0,
+             "even and >= 2"),
+            ("eta_reduced", 0 < self.eta_reduced < inf, "finite and > 0"),
+            ("eta_initial", self.eta_reduced < self.eta_initial < inf,
+             "finite and above eta_reduced"),
+            ("stop_delta", 0 <= self.stop_delta < inf, "finite and >= 0"),
+            ("n_max", self.n_max >= 1, ">= 1"),
+            ("init_weight", abs(self.init_weight) < inf, "finite"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not valid:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -103,15 +119,10 @@ def couple_gram(
     matrices of the two texts, at most n_max rows each; D w is the
     difference of their learned representations under weights w.
     """
-    diff = _weighting(vectors_a, n_max) - _weighting(vectors_b, n_max)
+    m_a, m_b = len(vectors_a), len(vectors_b)
+    diff = (vectors_a.T @ interpolation_matrix(m_a, n_max) / m_a
+            - vectors_b.T @ interpolation_matrix(m_b, n_max) / m_b)
     return diff.T @ diff
-
-
-def _weighting(vectors: np.ndarray, n_max: int) -> np.ndarray:
-    """The dim x n_max matrix V^T P_m / m; (V^T P_m / m) w is a text's
-    representation under weights w."""
-    m = vectors.shape[0]
-    return (vectors.T @ interpolation_matrix(m, n_max)) / m
 
 
 def _distances_and_gradients(
@@ -286,12 +297,15 @@ def grid_search_kappa(
     """Pick kappa by k-fold cross-validated split error (median loss).
 
     Folds are stratified by label.  Ties break toward the smaller kappa;
-    a fold that fails to train scores that kappa as error 1.0.
+    a fold that fails to train scores that kappa as error 1.0.  Every
+    kappa is checked, as a TrainConfig, before any couple is prepared.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if not grid:
         raise ValueError("kappa grid is empty")
+    fold_configs = [replace(config, kappa=kappa, loss="median")
+                    for kappa in grid]
 
     couples = prepare_couples(pairs, table, idf, config.n_max)
     # A couple's fold is its position among the couples of its label,
@@ -301,8 +315,7 @@ def grid_search_kappa(
     fold = rank % folds
 
     scores: dict[float, float] = {}
-    for kappa in grid:
-        fold_config = replace(config, kappa=kappa, loss="median")
+    for fold_config in fold_configs:
         errors = []
         for k in range(folds):
             held_out = couples[fold == k]
@@ -312,9 +325,10 @@ def grid_search_kappa(
                 _, err = evaluate.optimal_split(held_d, held_out.labels)
                 errors.append(err)
             except (ValueError, FloatingPointError) as exc:
-                warnings.warn(f"fold {k} failed for kappa={kappa}: {exc}")
+                warnings.warn(
+                    f"fold {k} failed for kappa={fold_config.kappa}: {exc}")
                 errors.append(1.0)
-        scores[float(kappa)] = float(np.mean(errors))
+        scores[float(fold_config.kappa)] = float(np.mean(errors))
 
     best = min(scores, key=lambda k: (scores[k], k))
     return best, scores

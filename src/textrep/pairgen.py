@@ -61,6 +61,8 @@ def jaccard(a: set, b: set) -> float:
 def _sample(draw, count: int) -> list:
     """The non-None results of calling ``draw()`` until ``count`` are kept
     or ``count * MAX_ATTEMPT_FACTOR`` calls are made."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     kept = []
     for _ in range(count * MAX_ATTEMPT_FACTOR):
         if len(kept) == count:
@@ -202,22 +204,22 @@ def tweet_pairs(
 
 
 def load_tweets(source: IO[str]) -> list[TweetRecord]:
-    """Line-delimited JSON objects with text, hashtags and timestamp;
-    other keys are ignored."""
+    """Line-delimited JSON objects with text, hashtags and an integer
+    timestamp; other keys are ignored."""
     records = []
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            text, tags = doc["text"], doc["hashtags"]
+            text, tags, stamp = doc["text"], doc["hashtags"], doc["timestamp"]
+            # type(), not isinstance(): JSON true is a bool, not a time.
             if not (isinstance(text, str) and isinstance(tags, list)
-                    and all(isinstance(t, str) for t in tags)):
-                raise TypeError("text must be a string and hashtags a "
-                                "list of strings")
-            records.append(
-                TweetRecord(text, frozenset(tags), int(doc["timestamp"]))
-            )
+                    and all(isinstance(t, str) for t in tags)
+                    and type(stamp) is int):
+                raise TypeError("text must be a string, hashtags a list of "
+                                "strings and timestamp an integer")
+            records.append(TweetRecord(text, frozenset(tags), stamp))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(
                 f"malformed tweet record, line {lineno}: need a JSON object "

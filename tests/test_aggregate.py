@@ -508,3 +508,21 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.metric == "euclidean"
         assert loaded.metadata["kappa"] == 160.0
+
+    def test_json_integer_weights_read_as_floats(self):
+        loaded = WeightModel.from_json('{"n_max": 2, "weights": [1, -2]}')
+        assert loaded.weights.tolist() == [1.0, -2.0]
+        assert loaded.metadata == {}
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n_max": 2, "weights": ["1.5", true]}', "as a list of numbers"),
+        ('{"n_max": 2, "weights": [1.0, null]}', "as a list of numbers"),
+        ('{"n_max": 1, "weights": [[1.0]]}', "as a list of numbers"),
+        ('{"n_max": 1, "weights": [1.0], "metadata": [1]}',
+         "'metadata' as an object"),
+        ('{"n_max": 1, "weights": [1.0], "metadata": null}',
+         "'metadata' as an object"),
+    ])
+    def test_json_rejects_mistyped_fields(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            WeightModel.from_json(doc)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import textrep
 from textrep.aggregate import tfidf_cosine_distance, tfidf_vector
-from textrep.cli import dispatch
+from textrep.cli import TRAIN_FLAGS, build_parser, dispatch
 from textrep.embeddings import (
     compute_idf,
     load_doc_freq,
@@ -21,6 +23,7 @@ from textrep.evaluate import (
     optimal_split,
     split_error,
 )
+from textrep.learn import TrainConfig
 from textrep.pairgen import load_pairs, save_pairs
 
 from synth import make_pairs, save_embeddings, split_pairs
@@ -376,8 +379,13 @@ class TestDataErrors:
         ({"n_max": 2}, "needs 'weights' as a list"),
         ({"n_max": 2, "weights": {"w": 1.0}}, "needs 'weights' as a list"),
         ([2, [1.0, 0.5]], "must hold a JSON object"),
+        ({"n_max": 2, "weights": ["1.5", True]},
+         "needs 'weights' as a list of numbers"),
+        ({"n_max": 2, "weights": [1.0, 0.5], "metadata": [1]},
+         "needs 'metadata' as an object"),
     ], ids=["string_n_max", "bool_n_max", "float_n_max", "missing_n_max",
-            "missing_weights", "object_weights", "not_an_object"])
+            "missing_weights", "object_weights", "not_an_object",
+            "non_number_weights", "list_metadata"])
     def test_malformed_model_file(self, workdir, tmp_path, capsys, doc,
                                   message):
         message = f"error: model file {message}\n"
@@ -409,8 +417,12 @@ class TestDataErrors:
         {"text": "a b c d e #x", "hashtags": {"x": 1}, "timestamp": 0},
         {"text": "a b c d e #x", "hashtags": ["x", 1], "timestamp": 0},
         {"text": 7, "hashtags": ["x"], "timestamp": 0},
+        {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": "900"},
+        {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": 12.9},
+        {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": True},
     ], ids=["missing_timestamp", "not_an_object", "string_hashtags",
-            "object_hashtags", "non_string_hashtag", "non_string_text"])
+            "object_hashtags", "non_string_hashtag", "non_string_text",
+            "string_timestamp", "float_timestamp", "bool_timestamp"])
     def test_malformed_tweet_record(self, tmp_path, capsys, record):
         tweets = tmp_path / "tweets.jsonl"
         good = {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": 0}
@@ -444,6 +456,129 @@ class TestDataErrors:
             assert run(command, *common, "--out", out) == 2
             assert "n_max must be >= 1" in capsys.readouterr().err
             assert not out.exists()
+
+
+# (subcommand, flag, value, error message) for out-of-range numeric flags.
+OUT_OF_RANGE = [
+    ("train", "--lambda", "-1", "lam must be finite and >= 0, got -1.0"),
+    ("train", "--lambda", "nan", "lam must be finite and >= 0, got nan"),
+    ("train", "--kappa", "0", "kappa must be finite and > 0, got 0.0"),
+    ("train", "--max-epochs", "0", "max_epochs must be >= 1, got 0"),
+    ("grid-kappa", "--grid", "nan,10",
+     "kappa must be finite and > 0, got nan"),
+    ("pairs-wiki", "--count", "-3", "count must be >= 1, got -3"),
+    ("eval", "--bins", "0", "bins must be >= 2, got 0"),
+]
+RANGE_IDS = [f"{command}{flag}={value}"
+             for command, flag, value, _ in OUT_OF_RANGE]
+TRAIN_CONFIG_CASES = [case[1:] for case in OUT_OF_RANGE if case[0] == "train"]
+
+
+class TestFlagRanges:
+    """An out-of-range numeric flag exits 2 with one error line and writes
+    nothing: no output, no histogram, no manifest."""
+
+    def argv(self, workdir, tmp_path, command, flag, value,
+             emb=None, pairs=None):
+        emb = emb or workdir / "vec.txt"
+        pairs = pairs or workdir / "train.tsv"
+        tables = ("--emb", emb, "--df", workdir / "df.tsv")
+        if command in ("train", "grid-kappa"):
+            rest = ("--pairs", pairs, *tables, "--nmax", 30, "--batch", 20,
+                    "--max-epochs", 2)
+        elif command == "pairs-wiki":
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text(" ".join(f"w{i}" for i in range(60)) + "\n\n"
+                              + " ".join(f"v{i}" for i in range(60)) + "\n")
+            rest = ("--corpus", corpus)
+        else:
+            # A test split of one label: no histogram is built to check bins.
+            test = tmp_path / "related.tsv"
+            lines = (workdir / "test.tsv").read_text().splitlines(True)
+            test.write_text("".join(row for row in lines if row[0] == "1"))
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
+            rest = ("--pairs", test, "--val", workdir / "val.tsv",
+                    "--model", model, *tables, "--hist", tmp_path / "out.csv")
+        out = "--report" if command == "eval" else "--out"
+        return (command, *rest, out, tmp_path / "out", flag, value)
+
+    def check_rejected(self, tmp_path, capsys, argv, message):
+        before = set(tmp_path.iterdir())
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
+                             ids=RANGE_IDS)
+    def test_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys,
+                                        command, flag, value, message):
+        argv = self.argv(workdir, tmp_path, command, flag, value)
+        self.check_rejected(tmp_path, capsys, argv, message)
+
+    @pytest.mark.parametrize("command", ["train", "grid-kappa"])
+    @pytest.mark.parametrize("flag, value, message", TRAIN_CONFIG_CASES,
+                             ids=[f"{f}={v}" for f, v, _ in TRAIN_CONFIG_CASES])
+    def test_train_config_checked_before_any_input_is_read(
+            self, workdir, tmp_path, capsys, command, flag, value, message):
+        argv = self.argv(workdir, tmp_path, command, flag, value,
+                         emb=tmp_path / "absent.txt",
+                         pairs=tmp_path / "absent.tsv")
+        self.check_rejected(tmp_path, capsys, argv, message)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def numeric_flag_table():
+    """{(subcommand, flag): default cell} from the README's table of
+    numeric flags."""
+    text = README.read_text()
+    start = text.index("| flag | subcommands | default | allowed |")
+    rows = {}
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        flags, commands, default, _ = (cell.strip() for cell in
+                                       line.strip("|").split("|"))
+        for flag in re.findall(r"--[a-z-]+", flags):
+            for command in re.findall(r"[a-z-]+", commands):
+                rows[command, flag] = default
+    return rows
+
+
+def parser_flags():
+    """{(subcommand, flag): argparse action} over every subcommand."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {(name, action.option_strings[0]): action
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.option_strings}
+
+
+class TestReadmeFlagTable:
+    def test_lists_every_numeric_flag(self):
+        numeric = {key for key, action in parser_flags().items()
+                   if action.type in (int, float) or key[1] == "--grid"}
+        assert set(numeric_flag_table()) == numeric
+
+    def test_defaults_match_the_parser_and_train_config(self):
+        actions = parser_flags()
+        config = TrainConfig()
+        fields = {flag: field for flag, field, _ in TRAIN_FLAGS}
+        fields["--seed"] = "seed"
+        for (command, flag), cell in numeric_flag_table().items():
+            default = actions[command, flag].default
+            if cell == "required":
+                assert actions[command, flag].required, (command, flag)
+            elif isinstance(default, str):
+                assert cell == default, (command, flag)
+            else:
+                assert float(cell) == default, (command, flag)
+            if command == "train" and flag in fields:
+                assert getattr(config, fields[flag]) == default, flag
 
 
 def run_python(*args):

@@ -346,6 +346,23 @@ class TestEvaluateMethod:
         with pytest.raises(ValueError, match="non-finite"):
             pair_distances(pairs, representer, lambda x, y: math.inf)
 
+    @pytest.mark.parametrize("bins", [1, 0, -2])
+    def test_bins_below_two_rejected_before_any_pair(self, bins):
+        table, idf, pairs = make_pairs(n_related=5, n_nonrelated=5, seed=2)
+        related = [pair for pair in pairs if pair.label == +1]
+        represented = []
+
+        class Recording:
+            def batch(self, texts):
+                represented.append(texts)
+                return baseline_representer(table, idf, "mean").batch(texts)
+
+        # one label in the test split, so no histogram would check bins
+        with pytest.raises(ValueError, match=f"bins must be >= 2, got {bins}"):
+            evaluate_method(related, Recording(), "euclidean",
+                            val_pairs=pairs, bins=bins)
+        assert represented == []
+
     def test_histogram_csv_format(self, tmp_path):
         import io
 

@@ -387,6 +387,29 @@ class TestTrain:
             with pytest.raises(ValueError, match="n_max must be >= 1"):
                 TrainConfig(n_max=n_max)
 
+    @pytest.mark.parametrize("field, value", [
+        ("loss", "hinge"),
+        ("kappa", 0.0), ("kappa", -1.0), ("kappa", math.nan),
+        ("kappa", math.inf),
+        ("lam", -1.0), ("lam", math.nan), ("lam", math.inf),
+        ("eta_reduced", 0.0), ("eta_reduced", math.nan),
+        ("eta_initial", 0.001), ("eta_initial", math.nan),
+        ("eta_initial", math.inf),
+        ("stop_delta", -1e-9), ("stop_delta", math.nan),
+        ("stop_delta", math.inf),
+        ("init_weight", math.nan), ("init_weight", -math.inf),
+        ("max_epochs", 0), ("max_epochs", -5),
+        ("seed", -1),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got "):
+            TrainConfig(**{field: value})
+
+    def test_accepts_range_edges(self):
+        config = TrainConfig(lam=0.0, stop_delta=0.0, init_weight=-2.0,
+                             max_epochs=1, seed=0, eta_initial=0.0011)
+        assert config.max_epochs == 1
+
     def test_needs_both_labels(self):
         couples = Couples(np.zeros((10, 2, 2)), np.full(10, +1))
         with pytest.raises(ValueError, match="per label"):
@@ -440,3 +463,17 @@ class TestGridSearchKappa:
             grid_search_kappa(pairs, table, idf, config, grid=(), folds=2)
         with pytest.raises(ValueError):
             grid_search_kappa(pairs, table, idf, config, grid=(10.0,), folds=1)
+
+    @pytest.mark.parametrize("grid", [(math.nan, 10.0), (10.0, 0.0),
+                                      (-20.0,), (math.inf,)])
+    def test_checks_every_kappa_before_preparing_couples(
+            self, small_world, monkeypatch, grid):
+        table, idf, pairs = small_world
+
+        def unreachable(*args):
+            raise AssertionError("couples prepared before the grid check")
+
+        monkeypatch.setattr(learn_mod, "prepare_couples", unreachable)
+        with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
+            grid_search_kappa(pairs, table, idf, TrainConfig(n_max=30),
+                              grid=grid, folds=2)

@@ -70,6 +70,11 @@ class TestWikiPairs:
         with pytest.raises(PairGenerationError, match="related"):
             wiki_pairs(articles, 5, 5, 1, seed=0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            wiki_pairs(self.corpus(), 5, 5, count, seed=0)
+
     def test_nonrelated_spans_from_distinct_articles(self):
         pairs = wiki_pairs(self.corpus(), 5, 5, 10, seed=1)
         negatives = [p for p in pairs if p.label == -1]
@@ -142,6 +147,10 @@ class TestTweetPairs:
             assert "storm" not in p.text_b.tokens
             assert "quake" not in p.text_a.tokens
             assert "quake" not in p.text_b.tokens
+
+    def test_count_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got -1"):
+            tweet_pairs(mixed_corpus(), -1, seed=0)
 
     def test_time_rule_rejects(self):
         a = tweet("alpha beta gamma delta epsilon one #storm", {"storm"}, 0)
@@ -302,3 +311,11 @@ class TestPairIO:
         records = load_tweets(io.StringIO(line + "\n"))
         assert records[0].hashtags == frozenset({"there"})
         assert records[0].timestamp == 123
+
+    @pytest.mark.parametrize("stamp", ["900", 12.9, 12.0, True, None])
+    def test_load_tweets_needs_an_integer_timestamp(self, stamp):
+        good = {"text": "a b c d e", "hashtags": [], "timestamp": 0}
+        text = "\n".join(json.dumps(doc) for doc in
+                         (good, {**good, "timestamp": stamp})) + "\n"
+        with pytest.raises(ValueError, match="line 2: .*timestamp an integer"):
+            load_tweets(io.StringIO(text))
