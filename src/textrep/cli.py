@@ -35,9 +35,10 @@ from .embeddings import (
     load_embeddings,
     save_doc_freq,
 )
-from .evaluate import evaluate_method
-from .learn import LOSSES, TrainConfig, grid_search_kappa, train
+from .evaluate import check_bins, evaluate_method
+from .learn import LOSSES, TrainConfig, grid_search_kappa, kappa_configs, train
 from .pairgen import (
+    check_lengths,
     load_articles,
     load_pairs,
     load_tweets,
@@ -113,6 +114,7 @@ def cmd_idf_build(args):
 
 
 def cmd_pairs_wiki(args):
+    check_lengths(args.nmin, args.nmax)
     with open(args.corpus, "r", encoding="utf-8") as fh:
         articles = load_articles(fh)
     pairs = wiki_pairs(articles, args.nmin, args.nmax, args.count, args.seed)
@@ -182,6 +184,7 @@ def cmd_train(args):
 def cmd_grid_kappa(args):
     config = _train_config(args)
     grid = [float(x) for x in args.grid.split(",")]
+    kappa_configs(config, grid, args.folds)  # checked before any input
     table, idf = _load_tables(args)
     best, scores = grid_search_kappa(_read_pairs(args.pairs), table, idf,
                                      config, grid=grid, folds=args.folds)
@@ -208,6 +211,7 @@ def _evaluate(args, inputs, representer, metric, method_name):
 
 
 def cmd_eval(args):
+    check_bins(args.bins)
     table, idf = _load_tables(args)
     model = load_model(args.model)
     return _evaluate(args,
@@ -220,6 +224,7 @@ def cmd_eval(args):
 def cmd_baseline_eval(args):
     if args.method != "tfidf" and args.emb is None:
         raise UsageError("--emb is required unless --method is tfidf")
+    check_bins(args.bins)
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
     if args.method == "tfidf":
         idf = _load_idf(args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -68,7 +69,6 @@ class IdfTable:
     """
 
     corpus_size: int
-    doc_freq: dict[str, int]
     idf: dict[str, float] = field(default_factory=dict)
     default_idf: float = field(init=False, repr=False, compare=False)
 
@@ -98,7 +98,7 @@ def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
                 f"{corpus_size}: {df}"
             )
         idf[token] = math.log(corpus_size / (1 + df))
-    return IdfTable(corpus_size=corpus_size, doc_freq=dict(doc_freq), idf=idf)
+    return IdfTable(corpus_size=corpus_size, idf=idf)
 
 
 # Lines parsed per np.loadtxt call: large enough to amortize the call,
@@ -113,14 +113,11 @@ def load_embeddings(source: IO[str]) -> EmbeddingTable:
     must hold exactly ``count`` rows, duplicates included; duplicate
     tokens keep the first occurrence and each one bumps
     ``duplicate_warnings`` on the returned table.  Blank lines are
-    skipped.
+    skipped, and rows past the declared count are counted, not parsed.
     """
     header = source.readline()
-    parts = header.split()
-    if len(parts) != 2:
-        raise EmbeddingParseError(f"malformed header line: {header!r}")
     try:
-        declared_count, dimension = int(parts[0]), int(parts[1])
+        declared_count, dimension = map(int, header.split())
     except ValueError as exc:
         raise EmbeddingParseError(f"malformed header line: {header!r}") from exc
     if dimension < 1:
@@ -133,49 +130,28 @@ def load_embeddings(source: IO[str]) -> EmbeddingTable:
             f"matrix: {exc}"
         ) from exc
 
+    # Each non-blank line as (line number, [token, values]); a token-only
+    # line has no values and is reported by _parse_line, in file order.
+    lines = ((lineno, fields) for lineno, line in enumerate(source, start=2)
+             if (fields := line.split(None, 1)))
     rows: dict[str, int] = {}
     read = 0
-    # The pending block: value strings, their line numbers, and the block
-    # positions of first occurrences (the rows the matrix keeps).
-    values: list[str] = []
-    linenos: list[int] = []
-    kept: list[int] = []
-
-    def flush() -> None:
-        if not values:
-            return
-        block = _parse_block(values, linenos, dimension)
-        start = len(rows) - len(kept)
+    while block := list(
+            islice(lines, min(BLOCK_LINES, declared_count - read))):
+        read += len(block)
+        start = len(rows)
+        kept = []
+        for i, (_, fields) in enumerate(block):
+            if fields[0] not in rows:
+                rows[fields[0]] = len(rows)
+                kept.append(i)
+        parsed = _parse_block(
+            [fields[1] if len(fields) == 2 else "" for _, fields in block],
+            [lineno for lineno, _ in block], dimension)
         matrix[start : len(rows)] = (
-            block if len(kept) == len(values) else block[kept]
-        )
-        values.clear()
-        linenos.clear()
-        kept.clear()
-
-    for lineno, line in enumerate(source, start=2):
-        fields = line.split(None, 1)
-        if not fields:
-            continue
-        read += 1
-        if read > declared_count:
-            read += sum(1 for rest in source if rest.strip())
-            break
-        if len(fields) == 1:
-            flush()  # earlier lines are reported first
-            raise EmbeddingParseError(
-                f"dimension mismatch, line {lineno}: expected {dimension} "
-                f"components, got 0"
-            )
-        token = fields[0]
-        if token not in rows:
-            kept.append(len(values))
-            rows[token] = len(rows)
-        values.append(fields[1])
-        linenos.append(lineno)
-        if len(values) == BLOCK_LINES:
-            flush()
-    flush()
+            parsed if len(kept) == len(block) else parsed[kept])
+        del block, parsed  # freed before the next block is read
+    read += sum(1 for _ in lines)  # rows past the declared count
 
     if read != declared_count:
         raise EmbeddingParseError(
@@ -202,15 +178,17 @@ def _parse_block(
     """The (len(values), dimension) matrix of one block of value strings.
 
     Only a bad block is re-parsed line by line, so that its first bad
-    line is reported with its number.
+    line is reported with its number.  So is a block with an empty value
+    (a token-only line), because numpy warns on a block of only those.
     """
-    try:
-        block = _parse_values(values)
-    except ValueError:
-        pass
-    else:
-        if block.shape == (len(values), dimension) and np.isfinite(block).all():
-            return block
+    if "" not in values:
+        try:
+            block = _parse_values(values)
+            if (block.shape == (len(values), dimension)
+                    and np.isfinite(block).all()):
+                return block
+        except ValueError:
+            pass
     return np.concatenate([
         _parse_line(value, lineno, dimension)
         for value, lineno in zip(values, linenos)

@@ -92,13 +92,18 @@ def optimal_split(
     return float(theta), int(wrong[best_cut]) / n
 
 
+def check_bins(bins: int) -> None:
+    """Reject a histogram of fewer than two bins."""
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+
+
 def distance_histograms(
     related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts of both distance sequences over ``bins`` equal-width bins
     spanning their pooled range: (related, non-related, bin edges)."""
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    check_bins(bins)
     if len(related_d) == 0 or len(nonrelated_d) == 0:
         raise ValueError("both distance sequences must be non-empty")
     lo = min(np.min(related_d), np.min(nonrelated_d))
@@ -208,8 +213,7 @@ def evaluate_method(
     pairs.  Unrepresentable test pairs are predicted non-related and
     reported separately, never silently dropped.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    check_bins(bins)
     val_d, val_labels = pair_distances(val_pairs, representer, metric)
     val_kept = np.isfinite(val_d)
     if not val_kept.any():

@@ -286,6 +286,16 @@ def train(
     return train_couples(couples, config)
 
 
+def kappa_configs(config: TrainConfig, grid: Sequence[float],
+                  folds: int) -> list[TrainConfig]:
+    """One median-loss config per kappa in ``grid``; checks ``folds``."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if not grid:
+        raise ValueError("kappa grid is empty")
+    return [replace(config, kappa=kappa, loss="median") for kappa in grid]
+
+
 def grid_search_kappa(
     pairs: Sequence[TextPair],
     table: EmbeddingTable,
@@ -300,12 +310,7 @@ def grid_search_kappa(
     a fold that fails to train scores that kappa as error 1.0.  Every
     kappa is checked, as a TrainConfig, before any couple is prepared.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if not grid:
-        raise ValueError("kappa grid is empty")
-    fold_configs = [replace(config, kappa=kappa, loss="median")
-                    for kappa in grid]
+    fold_configs = kappa_configs(config, grid, folds)
 
     couples = prepare_couples(pairs, table, idf, config.n_max)
     # A couple's fold is its position among the couples of its label,

@@ -73,6 +73,12 @@ def _sample(draw, count: int) -> list:
     return kept
 
 
+def check_lengths(n_min: int, n_max: int) -> None:
+    """Reject a span length range that is empty or starts below 1."""
+    if n_min > n_max or n_min < 1:
+        raise ValueError(f"invalid length range [{n_min}, {n_max}]")
+
+
 def wiki_pairs(
     articles: Sequence[tuple[str, Sequence[Sequence[str]]]],
     n_min: int,
@@ -86,8 +92,7 @@ def wiki_pairs(
     normalized to token sequences.  Returns ``count`` related followed by
     ``count`` non-related pairs.
     """
-    if n_min > n_max or n_min < 1:
-        raise ValueError(f"invalid length range [{n_min}, {n_max}]")
+    check_lengths(n_min, n_max)
     rng = random.Random(seed)
     paragraphs = [
         (ai, para)

@@ -22,6 +22,14 @@ N_STOPWORDS = 50
 DIM = 20
 CORPUS_SIZE = 1000
 
+# Document frequencies of the world's tokens: topic words are rare,
+# stopwords common.
+DOC_FREQ = {
+    **{f"t{t}w{i}": 5
+       for t in range(N_TOPICS) for i in range(WORDS_PER_TOPIC)},
+    **{f"s{i}": 900 for i in range(N_STOPWORDS)},
+}
+
 
 def table_from(entries) -> EmbeddingTable:
     """An EmbeddingTable over a token -> vector mapping, rows in its order."""
@@ -59,9 +67,7 @@ def build_world(seed=7, topic_noise=0.3, stop_noise=3.0):
         stop_vocab.append(token)
 
     table = table_from(entries)
-    doc_freq = {t: 5 for vocab in topic_vocab for t in vocab}
-    doc_freq.update({s: 900 for s in stop_vocab})
-    idf = compute_idf(doc_freq, CORPUS_SIZE)
+    idf = compute_idf(DOC_FREQ, CORPUS_SIZE)
     return table, idf, topic_vocab, stop_vocab, rng
 
 

@@ -35,6 +35,8 @@ from textrep.pairgen import TextPair, save_pairs
 from textrep.textprep import NormalizedText
 
 from synth import (
+    CORPUS_SIZE,
+    DOC_FREQ,
     build_world,
     make_pairs,
     save_embeddings,
@@ -406,11 +408,11 @@ def test_no_signal_control():
 
 
 def test_cli_train_determinism(tmp_path):
-    table, idf, pairs = make_pairs(n_related=200, n_nonrelated=200, seed=9)
+    table, _, pairs = make_pairs(n_related=200, n_nonrelated=200, seed=9)
     with open(tmp_path / "vec.txt", "w") as fh:
         save_embeddings(table, fh)
     with open(tmp_path / "df.tsv", "w") as fh:
-        save_doc_freq(idf.doc_freq, idf.corpus_size, fh)
+        save_doc_freq(DOC_FREQ, CORPUS_SIZE, fh)
     with open(tmp_path / "pairs.tsv", "w") as fh:
         save_pairs(pairs, fh)
 

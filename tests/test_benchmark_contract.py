@@ -1,7 +1,8 @@
 """The library surface that the benchmark in ``perfbench/`` relies on.
 
 ``perfbench/tracer.py`` wraps textrep functions by module and name, and
-``perfbench/workloads.library_round`` calls the library directly.  A
+``perfbench/workloads.library_setup`` and ``library_round`` call the
+library directly.  A
 renamed function would make a traced run report it as absent, and a
 changed signature would fail every benchmark round, so both are pinned
 here.  ``tracer.py`` is only read, never changed.
@@ -9,6 +10,7 @@ here.  ``tracer.py`` is only read, never changed.
 
 import dataclasses
 import importlib
+import io
 import importlib.util
 from pathlib import Path
 
@@ -21,6 +23,12 @@ from textrep.aggregate import (
     baseline_representer,
     learned_representer,
 )
+from textrep.embeddings import (
+    compute_idf,
+    load_doc_freq,
+    load_embeddings,
+    save_doc_freq,
+)
 from textrep.evaluate import evaluate_method
 from textrep.learn import (
     TrainConfig,
@@ -30,7 +38,14 @@ from textrep.learn import (
 )
 from textrep.textprep import normalize
 
-from synth import make_pairs, split_pairs
+from synth import (
+    CORPUS_SIZE,
+    DOC_FREQ,
+    build_world,
+    make_pairs,
+    save_embeddings,
+    split_pairs,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,6 +68,34 @@ def test_every_traced_name_is_callable():
             getattr(importlib.import_module(f"textrep.{module}"), name, None))
     ]
     assert absent == []
+
+
+def test_library_setup_calls(tmp_path):
+    # workloads.library_setup reads both tables from open files and passes
+    # load_doc_freq's (dict, int) positionally to compute_idf;
+    # run.count_rows takes vocabulary_size + duplicate_warnings as the
+    # number of rows read.
+    sink = io.StringIO()
+    save_embeddings(build_world(seed=4)[0], sink)
+    header, *rows = sink.getvalue().splitlines(True)
+    rows += rows[:3]  # three duplicates
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"{len(rows)} {header.split()[1]}\n" + "".join(rows))
+    with open(tmp_path / "df.tsv", "w", encoding="utf-8") as fh:
+        save_doc_freq(DOC_FREQ, CORPUS_SIZE, fh)
+
+    with open(emb, encoding="utf-8") as fh:
+        table = load_embeddings(fh)
+    assert table.vocabulary_size + table.duplicate_warnings == len(rows)
+    assert table.duplicate_warnings == 3
+    with open(tmp_path / "df.tsv", encoding="utf-8") as fh:
+        loaded = load_doc_freq(fh)
+    assert type(loaded) is tuple and len(loaded) == 2
+    doc_freq, corpus_size = loaded
+    assert type(doc_freq) is dict and type(corpus_size) is int
+    idf = compute_idf(*loaded)
+    assert idf.corpus_size == CORPUS_SIZE
+    assert idf.idf == compute_idf(DOC_FREQ, CORPUS_SIZE).idf
 
 
 def test_library_round_calls():

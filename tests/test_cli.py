@@ -26,20 +26,26 @@ from textrep.evaluate import (
 from textrep.learn import TrainConfig
 from textrep.pairgen import load_pairs, save_pairs
 
-from synth import make_pairs, save_embeddings, split_pairs
+from synth import (
+    CORPUS_SIZE,
+    DOC_FREQ,
+    make_pairs,
+    save_embeddings,
+    split_pairs,
+)
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Embedding, df and pair files for a small synthetic world."""
     root = tmp_path_factory.mktemp("cli")
-    table, idf, pairs = make_pairs(n_related=300, n_nonrelated=300, seed=13)
+    table, _, pairs = make_pairs(n_related=300, n_nonrelated=300, seed=13)
     train_p, val_p, test_p = split_pairs(pairs)
 
     with open(root / "vec.txt", "w") as fh:
         save_embeddings(table, fh)
     with open(root / "df.tsv", "w") as fh:
-        save_doc_freq(idf.doc_freq, idf.corpus_size, fh)
+        save_doc_freq(DOC_FREQ, CORPUS_SIZE, fh)
     for name, split in (("train", train_p), ("val", val_p), ("test", test_p)):
         with open(root / f"{name}.tsv", "w") as fh:
             save_pairs(split, fh)
@@ -467,11 +473,19 @@ OUT_OF_RANGE = [
     ("grid-kappa", "--grid", "nan,10",
      "kappa must be finite and > 0, got nan"),
     ("pairs-wiki", "--count", "-3", "count must be >= 1, got -3"),
+    ("pairs-wiki", "--nmin", "0", "invalid length range [0, 20]"),
+    ("pairs-wiki", "--nmax", "3", "invalid length range [20, 3]"),
+    ("grid-kappa", "--folds", "1", "folds must be >= 2, got 1"),
     ("eval", "--bins", "0", "bins must be >= 2, got 0"),
+    ("baseline-eval", "--bins", "0", "bins must be >= 2, got 0"),
 ]
 RANGE_IDS = [f"{command}{flag}={value}"
              for command, flag, value, _ in OUT_OF_RANGE]
 TRAIN_CONFIG_CASES = [case[1:] for case in OUT_OF_RANGE if case[0] == "train"]
+# Flags outside TrainConfig that are also checked before any input is read.
+CHECKED_FIRST = [(case, id_) for case, id_ in zip(OUT_OF_RANGE, RANGE_IDS)
+                 if case[1] in ("--grid", "--folds", "--bins", "--nmin",
+                                "--nmax")]
 
 
 class TestFlagRanges:
@@ -479,7 +493,7 @@ class TestFlagRanges:
     nothing: no output, no histogram, no manifest."""
 
     def argv(self, workdir, tmp_path, command, flag, value,
-             emb=None, pairs=None):
+             emb=None, pairs=None, corpus=None):
         emb = emb or workdir / "vec.txt"
         pairs = pairs or workdir / "train.tsv"
         tables = ("--emb", emb, "--df", workdir / "df.tsv")
@@ -487,20 +501,28 @@ class TestFlagRanges:
             rest = ("--pairs", pairs, *tables, "--nmax", 30, "--batch", 20,
                     "--max-epochs", 2)
         elif command == "pairs-wiki":
-            corpus = tmp_path / "corpus.txt"
-            corpus.write_text(" ".join(f"w{i}" for i in range(60)) + "\n\n"
-                              + " ".join(f"v{i}" for i in range(60)) + "\n")
-            rest = ("--corpus", corpus)
+            if corpus is None:
+                corpus = tmp_path / "corpus.txt"
+                corpus.write_text(" ".join(f"w{i}" for i in range(60))
+                                  + "\n\n"
+                                  + " ".join(f"v{i}" for i in range(60))
+                                  + "\n")
+            rest = ("--corpus", corpus, "--count", 5)  # a later flag wins
         else:
             # A test split of one label: no histogram is built to check bins.
             test = tmp_path / "related.tsv"
             lines = (workdir / "test.tsv").read_text().splitlines(True)
             test.write_text("".join(row for row in lines if row[0] == "1"))
-            model = tmp_path / "model.json"
-            model.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
-            rest = ("--pairs", test, "--val", workdir / "val.tsv",
-                    "--model", model, *tables, "--hist", tmp_path / "out.csv")
-        out = "--report" if command == "eval" else "--out"
+            if command == "eval":
+                model = tmp_path / "model.json"
+                model.write_text(
+                    json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
+                method = ("--model", model)
+            else:
+                method = ("--method", "mean")
+            rest = ("--pairs", test, "--val", workdir / "val.tsv", *method,
+                    *tables, "--hist", tmp_path / "out.csv")
+        out = "--report" if "eval" in command else "--out"
         return (command, *rest, out, tmp_path / "out", flag, value)
 
     def check_rejected(self, tmp_path, capsys, argv, message):
@@ -526,6 +548,16 @@ class TestFlagRanges:
         argv = self.argv(workdir, tmp_path, command, flag, value,
                          emb=tmp_path / "absent.txt",
                          pairs=tmp_path / "absent.tsv")
+        self.check_rejected(tmp_path, capsys, argv, message)
+
+    @pytest.mark.parametrize("command, flag, value, message",
+                             [case for case, _ in CHECKED_FIRST],
+                             ids=[id_ for _, id_ in CHECKED_FIRST])
+    def test_range_checked_before_any_input_is_read(
+            self, workdir, tmp_path, capsys, command, flag, value, message):
+        absent = tmp_path / "absent.txt"
+        argv = self.argv(workdir, tmp_path, command, flag, value,
+                         emb=absent, corpus=absent)
         self.check_rejected(tmp_path, capsys, argv, message)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -111,7 +112,9 @@ class TestHeaderCount:
         ("1 2\na 1 2\nb 3 4\n", 1, 2),
         ("1 2\na 1 2\n\na 3 4\n\n", 1, 2),
         ("3 2\n", 3, 0),
-    ], ids=["too_few", "too_many", "duplicates_count", "no_rows"])
+        ("2 2\na 1 2\nb 3 4\nc 1 x\nd\n", 2, 4),
+    ], ids=["too_few", "too_many", "duplicates_count", "no_rows",
+            "malformed_rows_past_the_count"])
     def test_mismatch_names_both_counts(self, text, declared, read):
         with pytest.raises(EmbeddingParseError,
                            match=f"declares {declared} rows, but the file "
@@ -164,7 +167,8 @@ class TestBulkParse:
         ("0.5 x 0.5", "unparseable value"),
         ("0.5 0.5", "dimension mismatch"),
         ("0.5 inf 0.5", "non-finite value"),
-    ], ids=["bad_value", "short_row", "non_finite"])
+        ("", "dimension mismatch"),
+    ], ids=["bad_value", "short_row", "non_finite", "token_only"])
     def test_error_past_first_block_names_true_line(self, value, message):
         bad = embeddings.BLOCK_LINES + 123
         text, linenos = numbered_file(embeddings.BLOCK_LINES + 500,
@@ -187,6 +191,30 @@ class TestBulkParse:
                            match="dimension mismatch, line 3: expected 2 "
                                  "components, got 0"):
             make_table("3 2\na 1 2\nb\nc 1 2\n")
+
+    @pytest.mark.parametrize("block", [embeddings.BLOCK_LINES, 1])
+    def test_block_of_token_only_lines(self, block):
+        n = embeddings.BLOCK_LINES
+        text = f"{n} 2\n" + "".join(f"w{i}\n" for i in range(n))
+        with mock.patch.object(embeddings, "BLOCK_LINES", block), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on empty input
+            with pytest.raises(EmbeddingParseError,
+                               match="dimension mismatch, line 2: expected "
+                                     "2 components, got 0$"):
+                make_table(text)
+
+    @pytest.mark.parametrize("block", [embeddings.BLOCK_LINES, 1])
+    def test_duplicate_across_a_block_boundary_keeps_first(self, block):
+        n = embeddings.BLOCK_LINES
+        text = (f"{n + 1} 2\n" + "".join(f"w{i} {i} 1\n" for i in range(n))
+                + "w0 9 9\n")
+        with mock.patch.object(embeddings, "BLOCK_LINES", block):
+            table = make_table(text)
+        assert table.vocabulary_size == n
+        assert table.duplicate_warnings == 1
+        np.testing.assert_array_equal(vector(table, "w0"), [0, 1])
+        np.testing.assert_array_equal(vector(table, f"w{n - 1}"), [n - 1, 1])
 
     def test_blank_lines_tabs_and_trailing_spaces_load(self):
         text = ("4 3\n\na\t1\t2\t3\n  \nb 4 5 6   \nc\t7 8\t 9 \t\n\n"
