@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -39,10 +40,6 @@ BASELINE_METHODS = (
 
 class UnrepresentableText(ValueError):
     """No in-vocabulary token survived; the text has no representation."""
-
-    def __init__(self, tokens):
-        self.tokens = tuple(tokens)
-        super().__init__(f"unrepresentable text: {list(tokens)!r}")
 
 
 @dataclass
@@ -218,51 +215,16 @@ def rank_weights(model: WeightModel) -> list[np.ndarray]:
             for k in range(1, model.n_max + 1)]
 
 
-def _learned_spec(table: EmbeddingTable, zs: list[np.ndarray]) -> tuple:
-    vectors = table.vectors
-
-    def kernel(ids, k: int) -> np.ndarray:
-        block = zs[k - 1] @ vectors[ids].reshape(k, -1)  # texts * dim values
-        block /= k
-        return block
-
-    return table.dimension, functools.partial(min, len(zs)), kernel
-
-
 def represent_learned(
-    encoded: Sequence[Sequence[int]],
-    table: EmbeddingTable,
-    zs: list[np.ndarray],
+    encoded: Sequence[Sequence[int]], spec: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages of encoded texts: (vectors, representable).
 
-    A text keeps its k = min(m, n_max) highest-idf rows V and becomes
-    z_k V / k, where ``zs`` is ``rank_weights(model)``.  Texts without an
-    in-vocabulary token get a zero row and a False in the mask.
+    ``spec`` is ``learned_representer``'s: a text keeps its k = min(m,
+    n_max) highest-idf rows V and becomes z_k V / k, z_k = P_k w.  Texts
+    without an in-vocabulary token get a zero row and a False in the mask.
     """
-    return _represent_blocks(encoded, _learned_spec(table, zs))
-
-
-def _baseline_spec(
-    table: EmbeddingTable, key: list[float], method: str
-) -> tuple:
-    """A fixed baseline's spec; ``key`` is ``_idf_by_row(table, idf)``."""
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown baseline method {method!r}")
-    vectors, dim = table.vectors, table.dimension
-    top30 = method.endswith("_top30")
-    length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)
-    if method == "idf_weighted_mean":
-        row_idf = np.array(key)
-        return dim, length, lambda ids, k: np.einsum(
-            "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
-    if method.startswith("minmax"):
-        def minmax(ids, k: int) -> np.ndarray:
-            rows = vectors[ids]
-            return np.concatenate((rows.min(axis=0), rows.max(axis=0)), axis=-1)
-        return 2 * dim, length, minmax
-    reduce = getattr(np.ndarray, method.removesuffix("_top30"))  # mean/max/min
-    return dim, length, lambda ids, k: reduce(vectors[ids], axis=0)
+    return _represent_blocks(encoded, spec)
 
 
 def represent_baseline(
@@ -284,10 +246,7 @@ def represent_baseline(
 
 def tfidf_vector(text: NormalizedText, idf: IdfTable) -> dict[str, float]:
     """Sparse tf-idf vector: raw in-text count times smoothed idf."""
-    counts: dict[str, int] = {}
-    for token in text.tokens:
-        counts[token] = counts.get(token, 0) + 1
-    return {t: c * idf.idf_of(t) for t, c in counts.items()}
+    return {t: c * idf.idf_of(t) for t, c in Counter(text.tokens).items()}
 
 
 def tfidf_cosine_distance(x: Mapping[str, float], y: Mapping[str, float]) -> float:
@@ -367,7 +326,8 @@ def _representer(
     def single(text: NormalizedText) -> np.ndarray:
         ids = encode_text(text)
         if not ids:
-            raise UnrepresentableText(text.tokens)
+            raise UnrepresentableText(
+                f"unrepresentable text: {list(text.tokens)!r}")
         k = length(len(ids))
         vector = np.empty(width)
         vector[:] = kernel(ids[:k], k)
@@ -395,16 +355,40 @@ def learned_representer(
         )
     key = _idf_by_row(table, idf)
     zs = rank_weights(model)
-    return _representer(table, key, _learned_spec(table, zs),
-                        lambda encoded: represent_learned(encoded, table, zs))
+    vectors = table.vectors
+
+    def kernel(ids, k: int) -> np.ndarray:
+        block = zs[k - 1] @ vectors[ids].reshape(k, -1)  # texts * dim values
+        block /= k
+        return block
+
+    spec = table.dimension, functools.partial(min, len(zs)), kernel
+    return _representer(table, key, spec,
+                        lambda encoded: represent_learned(encoded, spec))
 
 
 def baseline_representer(
     table: EmbeddingTable, idf: IdfTable, method: str
 ) -> Representer:
     """A fixed baseline as a Representer."""
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline method {method!r}")
     key = _idf_by_row(table, idf)
-    spec = _baseline_spec(table, key, method)
+    vectors, dim = table.vectors, table.dimension
+    top30 = method.endswith("_top30")
+    length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)
+    if method == "idf_weighted_mean":
+        row_idf = np.array(key)
+        spec = dim, length, lambda ids, k: np.einsum(
+            "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
+    elif method.startswith("minmax"):
+        def minmax(ids, k: int) -> np.ndarray:
+            rows = vectors[ids]
+            return np.concatenate((rows.min(axis=0), rows.max(axis=0)), axis=-1)
+        spec = 2 * dim, length, minmax
+    else:
+        reduce = getattr(np.ndarray, method.removesuffix("_top30"))  # mean/max/min
+        spec = dim, length, lambda ids, k: reduce(vectors[ids], axis=0)
     return _representer(
         table, key, spec,
         lambda encoded: represent_baseline(encoded, table, spec, method))

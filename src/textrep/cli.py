@@ -38,6 +38,7 @@ from .embeddings import (
 from .evaluate import check_bins, evaluate_method
 from .learn import LOSSES, TrainConfig, grid_search_kappa, kappa_configs, train
 from .pairgen import (
+    check_count,
     check_lengths,
     load_articles,
     load_pairs,
@@ -115,6 +116,7 @@ def cmd_idf_build(args):
 
 def cmd_pairs_wiki(args):
     check_lengths(args.nmin, args.nmax)
+    check_count(args.count)
     with open(args.corpus, "r", encoding="utf-8") as fh:
         articles = load_articles(fh)
     pairs = wiki_pairs(articles, args.nmin, args.nmax, args.count, args.seed)
@@ -124,6 +126,7 @@ def cmd_pairs_wiki(args):
 
 
 def cmd_pairs_tweets(args):
+    check_count(args.count)
     with open(args.tweets, "r", encoding="utf-8") as fh:
         tweets = load_tweets(fh)
     pairs = tweet_pairs(tweets, args.count, args.seed)

@@ -8,6 +8,7 @@ across workers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Iterable, Mapping
@@ -56,9 +57,6 @@ class EmbeddingTable:
         get = self.rows.get
         return [i for i in map(get, tokens) if i is not None]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.rows
-
 
 @dataclass(frozen=True)
 class IdfTable:
@@ -101,6 +99,10 @@ def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
     return IdfTable(corpus_size=corpus_size, idf=idf)
 
 
+# The integers of the header and the df file: int() alone also takes "1_0",
+# non-ASCII digits and surrounding whitespace, which the values reject.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 # Lines parsed per np.loadtxt call: large enough to amortize the call,
 # small enough that a block's strings stay a few MB.
 BLOCK_LINES = 2048
@@ -116,10 +118,10 @@ def load_embeddings(source: IO[str]) -> EmbeddingTable:
     skipped, and rows past the declared count are counted, not parsed.
     """
     header = source.readline()
-    try:
-        declared_count, dimension = map(int, header.split())
-    except ValueError as exc:
-        raise EmbeddingParseError(f"malformed header line: {header!r}") from exc
+    fields = header.split()
+    if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
+        raise EmbeddingParseError(f"malformed header line: {header!r}")
+    declared_count, dimension = map(int, fields)
     if dimension < 1:
         raise EmbeddingParseError(f"dimension must be positive, got {dimension}")
     try:
@@ -237,12 +239,9 @@ def load_doc_freq(source: IO[str]) -> tuple[dict[str, int], int]:
 
 
 def _count(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"non-integer df count, line {lineno}: {value!r}"
-        ) from None
+    if not _INTEGER.fullmatch(value):
+        raise ValueError(f"non-integer df count, line {lineno}: {value!r}")
+    return int(value)
 
 
 def save_doc_freq(doc_freq: Mapping[str, int], corpus_size: int, sink: IO[str]) -> None:

@@ -124,9 +124,10 @@ def js_divergence(
     return _js_from_counts(hist_r, hist_n)
 
 
-def _js_from_counts(counts_p, counts_q, smoothing: float = 1e-12) -> float:
-    p = np.asarray(counts_p, dtype=np.float64) + smoothing
-    q = np.asarray(counts_q, dtype=np.float64) + smoothing
+def _js_from_counts(counts_p, counts_q) -> float:
+    # Smoothing keeps the logs finite where a bin is empty.
+    p = np.asarray(counts_p, dtype=np.float64) + 1e-12
+    q = np.asarray(counts_q, dtype=np.float64) + 1e-12
     p /= p.sum()
     q /= q.sum()
     m = 0.5 * (p + q)

@@ -9,6 +9,7 @@ deterministic given its seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -61,8 +62,7 @@ def jaccard(a: set, b: set) -> float:
 def _sample(draw, count: int) -> list:
     """The non-None results of calling ``draw()`` until ``count`` are kept
     or ``count * MAX_ATTEMPT_FACTOR`` calls are made."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_count(count)
     kept = []
     for _ in range(count * MAX_ATTEMPT_FACTOR):
         if len(kept) == count:
@@ -73,6 +73,12 @@ def _sample(draw, count: int) -> list:
     return kept
 
 
+def check_count(count: int) -> None:
+    """Reject a request for fewer than one pair per label."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
 def check_lengths(n_min: int, n_max: int) -> None:
     """Reject a span length range that is empty or starts below 1."""
     if n_min > n_max or n_min < 1:
@@ -80,7 +86,7 @@ def check_lengths(n_min: int, n_max: int) -> None:
 
 
 def wiki_pairs(
-    articles: Sequence[tuple[str, Sequence[Sequence[str]]]],
+    articles: Sequence[Sequence[Sequence[str]]],
     n_min: int,
     n_max: int,
     count: int,
@@ -88,15 +94,15 @@ def wiki_pairs(
 ) -> list[TextPair]:
     """Balanced related/non-related span pairs from paragraph corpora.
 
-    ``articles`` holds (article_id, paragraphs) with paragraphs already
-    normalized to token sequences.  Returns ``count`` related followed by
-    ``count`` non-related pairs.
+    ``articles`` holds each article's paragraphs, already normalized to
+    token sequences.  Returns ``count`` related followed by ``count``
+    non-related pairs.
     """
     check_lengths(n_min, n_max)
     rng = random.Random(seed)
     paragraphs = [
         (ai, para)
-        for ai, (_, paras) in enumerate(articles)
+        for ai, paras in enumerate(articles)
         for para in paras
         if para
     ]
@@ -233,24 +239,14 @@ def load_tweets(source: IO[str]) -> list[TweetRecord]:
     return records
 
 
-def load_articles(source: IO[str]) -> list[tuple[str, list[tuple[str, ...]]]]:
+def load_articles(source: IO[str]) -> list[list[tuple[str, ...]]]:
     """Plain-text corpus: one paragraph per line, blank line between articles.
 
-    Paragraph text is normalized here; article ids are ordinal.
+    Returns each article's list of paragraphs, normalized here.
     """
-    articles: list[tuple[str, list[tuple[str, ...]]]] = []
-    current: list[tuple[str, ...]] = []
-    for line in source:
-        stripped = line.strip()
-        if not stripped:
-            if current:
-                articles.append((f"article-{len(articles)}", current))
-                current = []
-            continue
-        current.append(normalize(stripped).tokens)
-    if current:
-        articles.append((f"article-{len(articles)}", current))
-    return articles
+    runs = itertools.groupby(source, key=lambda line: bool(line.strip()))
+    return [[normalize(line).tokens for line in lines]
+            for filled, lines in runs if filled]
 
 
 def save_pairs(pairs: Iterable[TextPair], sink: IO[str]) -> None:

@@ -28,13 +28,6 @@ class NormalizedText:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SortedText:
-    """Tokens reordered to descending idf."""
-
-    tokens: tuple[str, ...]
-
-
 class _PunctuationTable(dict):
     """``str.translate`` table that deletes punctuation and symbols.
 
@@ -87,11 +80,11 @@ def may_be_normalized(line: str) -> bool:
             and len(line.translate(_DROP_PUNCTUATION)) == len(line))
 
 
-def sort_by_idf(text: NormalizedText, idf: IdfTable) -> SortedText:
+def sort_by_idf(text: NormalizedText, idf: IdfTable) -> NormalizedText:
     """Stable descending sort on idf; unknown tokens get the df=0 idf.
 
     Ties keep original relative order, so the output is deterministic
     for any input.
     """
     ordered = sorted(text.tokens, key=idf.idf_of, reverse=True)
-    return SortedText(tokens=tuple(ordered))
+    return NormalizedText(tuple(ordered))

@@ -373,6 +373,43 @@ def test_cross_embedding_transfer():
         )
 
 
+def test_cli_cross_embedding_transfer(tmp_path):
+    # The same transfer through the CLI: train on world 7's embedding
+    # file, then score world 8's file with those weights and with mean.
+    table, _, train_p, val_p, test_p = world7_splits()
+    for name, world in (("w7", table), ("w8", build_world(seed=8)[0])):
+        with open(tmp_path / f"{name}.txt", "w") as fh:
+            save_embeddings(world, fh)
+    with open(tmp_path / "df.tsv", "w") as fh:
+        save_doc_freq(DOC_FREQ, CORPUS_SIZE, fh)
+    for name, split in (("train", train_p), ("val", val_p), ("test", test_p)):
+        with open(tmp_path / f"{name}.tsv", "w") as fh:
+            save_pairs(split, fh)
+
+    def path(name):
+        return str(tmp_path / name)
+
+    tables = ("--df", path("df.tsv"), "--emb")
+    assert dispatch(["train", "--pairs", path("train.tsv"), *tables,
+                     path("w7.txt"), "--max-epochs", "60",
+                     "--out", path("model.json")]) == 0
+    scoring = ("--pairs", path("test.tsv"), "--val", path("val.tsv"),
+               *tables, path("w8.txt"))
+    assert dispatch(["eval", *scoring, "--model", path("model.json"),
+                     "--report", path("learned.json")]) == 0
+    assert dispatch(["baseline-eval", *scoring, "--method", "mean",
+                     "--report", path("mean.json")]) == 0
+    learned, mean = (
+        json.loads((tmp_path / f"{name}.json").read_text())["split_error"]
+        for name in ("learned", "mean"))
+    check(
+        f"CLI cross-embedding transfer: weights trained with --emb w7.txt, "
+        f"eval --emb w8.txt error {learned:.3f} < 0.05 and < mean "
+        f"{mean:.3f} / 4",
+        learned < 0.05 and learned < mean / 4,
+    )
+
+
 # ---------------------------------------------------------------------------
 # no-signal control
 # ---------------------------------------------------------------------------

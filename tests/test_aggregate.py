@@ -221,7 +221,7 @@ def reference_learned(text, table, idf, model):
 
 def reference_baseline(text, table, idf, method):
     """One text's baseline vector, computed the scalar way."""
-    tokens = [t for t in text.tokens if t in table]
+    tokens = [t for t in text.tokens if t in table.rows]
     if not tokens:
         return None
     if method.endswith("_top30"):
@@ -294,8 +294,8 @@ class TestEncode:
             assert [
                 [idf.idf_of(token_of[i]) for i in ids]
                 for ids in encode([text, shuffled], table, idf)
-            ] == [sorted((idf.idf_of(t) for t in text.tokens if t in table),
-                         reverse=True)] * 2
+            ] == [sorted((idf.idf_of(t) for t in text.tokens
+                          if t in table.rows), reverse=True)] * 2
 
     def test_stable_under_ties(self):
         table = table_from({t: [float(i)] for i, t in enumerate("abcd")})

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import textrep
 from textrep.aggregate import tfidf_cosine_distance, tfidf_vector
@@ -326,7 +329,12 @@ class TestDataErrors:
         ("N\t10\nt0w1\t3\nt0w2\tx\n", "non-integer df count, line 3: 'x'"),
         ("N\tten\nt0w1\t3\n", "non-integer df count, line 1: 'ten'"),
         ("N\t10\nt0w1\t3\nt0w1\t5\n", "duplicate df token 't0w1', line 3"),
-    ], ids=["bad_count", "bad_corpus_size", "duplicate_token"])
+        ("N\t1_0\nt0w1\t3\n", "non-integer df count, line 1: '1_0'"),
+        ("N\t10\nt0w1\t 5\n", "non-integer df count, line 2: ' 5'"),
+        ("N\t10\nt0w1\t\u0663\n", "non-integer df count, line 2: '\u0663'"),
+        ("N\t10\nt0w1\t-3\n", "negative document frequency for 't0w1': -3"),
+    ], ids=["bad_count", "bad_corpus_size", "duplicate_token",
+            "underscore", "space", "non_ascii_digit", "negative_count"])
     def test_malformed_df_row(self, workdir, tmp_path, capsys, content,
                               message):
         df = tmp_path / "df.tsv"
@@ -473,6 +481,7 @@ OUT_OF_RANGE = [
     ("grid-kappa", "--grid", "nan,10",
      "kappa must be finite and > 0, got nan"),
     ("pairs-wiki", "--count", "-3", "count must be >= 1, got -3"),
+    ("pairs-tweets", "--count", "0", "count must be >= 1, got 0"),
     ("pairs-wiki", "--nmin", "0", "invalid length range [0, 20]"),
     ("pairs-wiki", "--nmax", "3", "invalid length range [20, 3]"),
     ("grid-kappa", "--folds", "1", "folds must be >= 2, got 1"),
@@ -485,7 +494,7 @@ TRAIN_CONFIG_CASES = [case[1:] for case in OUT_OF_RANGE if case[0] == "train"]
 # Flags outside TrainConfig that are also checked before any input is read.
 CHECKED_FIRST = [(case, id_) for case, id_ in zip(OUT_OF_RANGE, RANGE_IDS)
                  if case[1] in ("--grid", "--folds", "--bins", "--nmin",
-                                "--nmax")]
+                                "--nmax", "--count")]
 
 
 class TestFlagRanges:
@@ -508,6 +517,13 @@ class TestFlagRanges:
                                   + " ".join(f"v{i}" for i in range(60))
                                   + "\n")
             rest = ("--corpus", corpus, "--count", 5)  # a later flag wins
+        elif command == "pairs-tweets":
+            if corpus is None:
+                corpus = tmp_path / "tweets.jsonl"
+                corpus.write_text("".join(
+                    json.dumps({"text": f"w{i} a b c d e", "hashtags": ["x"],
+                                "timestamp": i}) + "\n" for i in range(4)))
+            rest = ("--tweets", corpus, "--count", 1)
         else:
             # A test split of one label: no histogram is built to check bins.
             test = tmp_path / "related.tsv"
@@ -559,6 +575,78 @@ class TestFlagRanges:
         argv = self.argv(workdir, tmp_path, command, flag, value,
                          emb=absent, corpus=absent)
         self.check_rejected(tmp_path, capsys, argv, message)
+
+
+# Pieces of generated df and pair files: the formats' delimiters, field
+# text, and what int() takes but the formats do not ("_", signs, spaces,
+# a non-ASCII digit).
+PIECES = ["\t", "\n", "\n\n", " ", "+", "-", "_", "0", "1", "5", "10",
+          "\u0663", "N", "t0w1", "s1", "t1w2", "zz", "A", "#"]
+WORDS = st.lists(st.sampled_from(["t0w1", "t0w2", "s1", "t1w2", "zz"]),
+                 min_size=1, max_size=4).map(" ".join)
+
+
+def generated(well_formed):
+    """A well-formed file, noise from PIECES, or the file with noise after."""
+    noise = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+    return st.one_of(well_formed, noise,
+                     st.tuples(well_formed, noise).map("".join))
+
+
+# df counts: mostly integers, sometimes what int() takes but the df
+# format does not, or a near miss.
+COUNTS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(
+    ["+3", "-1", "1_0", " 5", "5 ", "\u0663", "x", ""]))
+DF_FILES = generated(st.builds(
+    lambda n, rows: f"N\t{n}\n" + "".join(f"{t}\t{c}\n" for t, c in rows),
+    st.one_of(st.just("1000"), COUNTS),
+    st.dictionaries(st.sampled_from(["t0w1", "s1", "t1w2"]),
+                    COUNTS).map(dict.items)))
+PAIR_FILES = generated(st.lists(
+    st.tuples(st.sampled_from("01"), WORDS, WORDS).map("\t".join),
+    min_size=1, max_size=8).map(lambda rows: "\n".join(rows) + "\n"))
+
+
+class TestGeneratedInputs:
+    """Generated df and pair files through dispatch: exit 0, or exit 2 with
+    one error line; never an exception."""
+
+    @pytest.fixture(scope="class")
+    def gendir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("generated")
+
+    def outcome(self, argv):
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = run(*argv)
+        lines = err.getvalue().splitlines()
+        assert code == 0 or (code == 2 and len(lines) == 1
+                             and lines[0].startswith("error: ")), (code, lines)
+        return code
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=DF_FILES)
+    def test_df_file(self, workdir, gendir, text):
+        df = gendir / "df.tsv"
+        df.write_text(text, encoding="utf-8")
+        code = self.outcome(("embed", "--emb", workdir / "vec.txt",
+                             "--df", df, "--text", "t0w1 s1"))
+        if code == 0:  # every count was read as written: ASCII digits
+            rows = [line.split("\t") for line in text.split("\n")
+                    if line.strip()]
+            assert all(re.fullmatch(r"[+-]?[0-9]+", count)
+                       for _, count in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=PAIR_FILES)
+    def test_pair_file(self, workdir, gendir, text):
+        pairs = gendir / "pairs.tsv"
+        pairs.write_text(text, encoding="utf-8")
+        self.outcome(("baseline-eval", "--method", "mean", "--pairs", pairs,
+                      "--val", pairs, "--emb", workdir / "vec.txt",
+                      "--df", workdir / "df.tsv",
+                      "--report", gendir / "report.json"))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -137,6 +137,19 @@ class TestHeaderCount:
         with pytest.raises(EmbeddingParseError, match="cannot allocate"):
             make_table(header + "\na 1 2\n")
 
+    @pytest.mark.parametrize("header", [
+        "1_0 2", "\u0661 2", "+1 0_2", "1", "1 2 3", "1 2.0", "one 2",
+    ])
+    def test_malformed_header(self, header):
+        # int() alone takes the first three: "_", non-ASCII digits.
+        line = header + "\n"
+        with pytest.raises(EmbeddingParseError) as info:
+            make_table(line + "".join(f"w{i} 1 2\n" for i in range(10)))
+        assert str(info.value) == f"malformed header line: {line!r}"
+
+    def test_signed_header(self):
+        assert make_table("+2 +2\na 1 2\nb 3 4\n").vectors.shape == (2, 2)
+
 
 class TestBulkParse:
     @settings(max_examples=60, deadline=None)
@@ -239,12 +252,11 @@ class TestLookup:
 
     def test_no_case_folding(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert "CAT" not in table
+        assert table.row_ids(["CAT"]) == []
         assert table.row_ids(["CAT", "cat"]) == [0]
 
     def test_empty_token_absent(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert "" not in table
         assert table.row_ids([""]) == []
 
     def test_one_row_per_token(self):

@@ -46,18 +46,15 @@ def article(tokens_per_para):
 class TestWikiPairs:
     def corpus(self, n_articles=6, para_len=60):
         return [
-            (
-                f"a{i}",
-                article([[f"a{i}p{j}t{k}" for k in range(para_len)]
-                          for j in range(3)]),
-            )
+            article([[f"a{i}p{j}t{k}" for k in range(para_len)]
+                     for j in range(3)])
             for i in range(n_articles)
         ]
 
     def test_related_span_skips_two_words(self):
         # single 12-token paragraph forces start 0 with n=5
         tokens = [f"t{i}" for i in range(1, 13)]
-        articles = [("a", article([tokens])), ("b", article([tokens]))]
+        articles = [article([tokens]), article([tokens])]
         pairs = wiki_pairs(articles, 5, 5, 1, seed=0)
         related = pairs[0]
         assert related.label == +1
@@ -66,7 +63,7 @@ class TestWikiPairs:
 
     def test_too_short_paragraph_yields_error(self):
         tokens = [f"t{i}" for i in range(11)]  # 2n+2 = 12 > 11
-        articles = [("a", article([tokens])), ("b", article([tokens]))]
+        articles = [article([tokens]), article([tokens])]
         with pytest.raises(PairGenerationError, match="related"):
             wiki_pairs(articles, 5, 5, 1, seed=0)
 
@@ -299,9 +296,8 @@ class TestPairIO:
     def test_load_articles(self):
         corpus = "One two three.\nFour five.\n\nSix seven!\n"
         articles = load_articles(io.StringIO(corpus))
-        assert len(articles) == 2
-        assert articles[0][1] == [("one", "two", "three"), ("four", "five")]
-        assert articles[1][1] == [("six", "seven")]
+        assert articles == [[("one", "two", "three"), ("four", "five")],
+                            [("six", "seven")]]
 
     def test_load_tweets(self):
         line = json.dumps(
