@@ -23,19 +23,9 @@ from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, IdfTable
-from .textprep import NORMALIZATION_VERSION, NormalizedText
-
-BASELINE_METHODS = (
-    "mean",
-    "max",
-    "min",
-    "minmax_concat",
-    "mean_top30",
-    "max_top30",
-    "minmax_top30",
-    "idf_weighted_mean",
-)
+from .embeddings import EmbeddingTable
+from .settings import BASELINE_METHODS
+from .textprep import NORMALIZATION_VERSION, IdfTable, NormalizedText
 
 
 class UnrepresentableText(ValueError):

@@ -12,31 +12,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 import time
 from pathlib import Path
 
+# Only modules free of numpy are imported here.  The subcommands that
+# compute with arrays (train, grid-kappa, eval, baseline-eval, embed)
+# import the rest in their own bodies, so a launch that only builds the
+# parser, counts document frequencies or draws pairs never loads numpy.
 from . import __version__
-from .aggregate import (
-    BASELINE_METHODS,
-    baseline_representer,
-    learned_representer,
-    load_model,
-    save_model,
-    tfidf_cosine_distance,
-    tfidf_representer,
-)
-from .embeddings import (
-    compute_idf,
-    count_doc_freq,
-    load_doc_freq,
-    load_embeddings,
-    save_doc_freq,
-)
-from .evaluate import check_bins, evaluate_method
-from .learn import LOSSES, TrainConfig, grid_search_kappa, kappa_configs, train
 from .pairgen import (
     check_count,
     check_lengths,
@@ -47,7 +32,22 @@ from .pairgen import (
     tweet_pairs,
     wiki_pairs,
 )
-from .textprep import normalize
+from .settings import (
+    BASELINE_METHODS,
+    BINS,
+    FOLDS,
+    KAPPA_GRID,
+    LOSSES,
+    SPAN_LENGTH,
+    TrainConfig,
+)
+from .textprep import (
+    compute_idf,
+    count_doc_freq,
+    load_doc_freq,
+    normalize,
+    save_doc_freq,
+)
 
 
 class UsageError(Exception):
@@ -89,6 +89,8 @@ def _load_idf(args):
 
 
 def _load_tables(args):
+    from .embeddings import load_embeddings
+
     with open(args.emb, "r", encoding="utf-8") as fh:
         table = load_embeddings(fh)
     return table, _load_idf(args)
@@ -157,21 +159,18 @@ def _dest(flag: str) -> str:
     return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
 
 
-def _default(func, name: str):
-    """The default that ``func`` declares for its parameter ``name``."""
-    return inspect.signature(func).parameters[name].default
-
-
 def _train_config(args) -> TrainConfig:
     return TrainConfig(seed=args.seed, **{
         field: getattr(args, _dest(flag)) for flag, field, _ in TRAIN_FLAGS})
 
 
 def cmd_train(args):
+    from . import aggregate, learn
+
     config = _train_config(args)
     table, idf = _load_tables(args)
-    model, trace = train(_read_pairs(args.pairs), table, idf, config)
-    save_model(model, args.out)
+    model, trace = learn.train(_read_pairs(args.pairs), table, idf, config)
+    aggregate.save_model(model, args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write("epoch\tmean_loss\teta\twall_seconds\n")
@@ -185,12 +184,15 @@ def cmd_train(args):
 
 
 def cmd_grid_kappa(args):
+    from . import learn
+
     config = _train_config(args)
     grid = [float(x) for x in args.grid.split(",")]
-    kappa_configs(config, grid, args.folds)  # checked before any input
+    learn.kappa_configs(config, grid, args.folds)  # checked before any input
     table, idf = _load_tables(args)
-    best, scores = grid_search_kappa(_read_pairs(args.pairs), table, idf,
-                                     config, grid=grid, folds=args.folds)
+    best, scores = learn.grid_search_kappa(
+        _read_pairs(args.pairs), table, idf, config, grid=grid,
+        folds=args.folds)
     doc = {"kappa_best": best,
            "scores": {str(k): v for k, v in sorted(scores.items())}}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,9 +204,11 @@ def _evaluate(args, inputs, representer, metric, method_name):
     """Score the --pairs test split with theta fitted on --val, write the
     report and the --hist CSV, and return what dispatch needs for the
     manifest."""
-    report = evaluate_method(_read_pairs(args.pairs), representer, metric,
-                             method_name=method_name,
-                             val_pairs=_read_pairs(args.val), bins=args.bins)
+    from . import evaluate
+
+    report = evaluate.evaluate_method(
+        _read_pairs(args.pairs), representer, metric, method_name=method_name,
+        val_pairs=_read_pairs(args.val), bins=args.bins)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.hist:
@@ -214,12 +218,14 @@ def _evaluate(args, inputs, representer, metric, method_name):
 
 
 def cmd_eval(args):
-    check_bins(args.bins)
+    from . import aggregate, evaluate
+
+    evaluate.check_bins(args.bins)
     table, idf = _load_tables(args)
-    model = load_model(args.model)
+    model = aggregate.load_model(args.model)
     return _evaluate(args,
                      [args.pairs, args.val, args.model, args.emb, args.df],
-                     learned_representer(table, idf, model),
+                     aggregate.learned_representer(table, idf, model),
                      model.metric,
                      f"learned:{model.metadata.get('loss', 'unknown')}")
 
@@ -227,29 +233,33 @@ def cmd_eval(args):
 def cmd_baseline_eval(args):
     if args.method != "tfidf" and args.emb is None:
         raise UsageError("--emb is required unless --method is tfidf")
-    check_bins(args.bins)
+    from . import aggregate, evaluate
+
+    evaluate.check_bins(args.bins)
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
     if args.method == "tfidf":
         idf = _load_idf(args)
-        representer = tfidf_representer(idf)
-        metric = tfidf_cosine_distance
+        representer = aggregate.tfidf_representer(idf)
+        metric = aggregate.tfidf_cosine_distance
         inputs = [args.pairs, args.val, args.df]
     else:
         table, idf = _load_tables(args)
-        representer = baseline_representer(table, idf, args.method)
+        representer = aggregate.baseline_representer(table, idf, args.method)
         metric = args.metric
         inputs = [args.pairs, args.val, args.emb, args.df]
     return _evaluate(args, inputs, representer, metric, args.method)
 
 
 def cmd_embed(args):
+    from . import aggregate
+
     table, idf = _load_tables(args)
     text = normalize(args.text)
     if args.model:
-        model = load_model(args.model)
-        rep = learned_representer(table, idf, model)(text)
+        model = aggregate.load_model(args.model)
+        rep = aggregate.learned_representer(table, idf, model)(text)
     else:
-        rep = baseline_representer(table, idf, args.method)(text)
+        rep = aggregate.baseline_representer(table, idf, args.method)(text)
     print(",".join(f"{v:.10g}" for v in rep.vector))
 
 
@@ -281,25 +291,24 @@ def build_parser() -> _Parser:
         "--pairs": dict(required=True, help="test pairs TSV"),
         "--val": dict(required=True, help="validation pairs TSV"),
         **tables, "--report": need, "--hist": {},
-        "--bins": defaulted(_default(evaluate_method, "bins"),
-                            "histogram bins"),
+        "--bins": defaulted(BINS, "histogram bins"),
     }
-    grid = ",".join(f"{k:g}" for k in _default(grid_search_kappa, "grid"))
+    grid = ",".join(f"{k:g}" for k in KAPPA_GRID)
 
     for name, func, text, flags in (
         ("idf-build", cmd_idf_build, "count document frequencies",
          {"--corpus": need, "--out": need}),
         ("pairs-wiki", cmd_pairs_wiki, "span pairs from a paragraph corpus",
-         {"--corpus": need, **pairs, "--nmin": dict(type=int, default=20),
-          "--nmax": dict(type=int, default=20)}),
+         {"--corpus": need, **pairs,
+          "--nmin": dict(type=int, default=SPAN_LENGTH),
+          "--nmax": dict(type=int, default=SPAN_LENGTH)}),
         ("pairs-tweets", cmd_pairs_tweets, "hashtag-paired tweets",
          {"--tweets": need, **pairs}),
         ("train", cmd_train, "train rank weights",
          {**training, "--log": dict(help="epoch-loss TSV path")}),
         ("grid-kappa", cmd_grid_kappa, "cross-validated kappa search", {
             **training, "--grid": defaulted(grid, "comma-separated kappas"),
-            "--folds": defaulted(_default(grid_search_kappa, "folds"),
-                                 "cross-validation folds")}),
+            "--folds": defaulted(FOLDS, "cross-validation folds")}),
         ("eval", cmd_eval, "evaluate a trained model",
          {**scoring, "--model": need}),
         ("baseline-eval", cmd_baseline_eval, "evaluate a fixed baseline", {

@@ -1,19 +1,22 @@
-"""Word embedding tables and smoothed inverse document frequency.
+"""Word embedding tables.
 
-All downstream math reads vectors and idf values through the two tables
-defined here.  Tables are immutable after construction and safe to share
-across workers.
+All downstream math reads vectors through the table defined here; the idf
+table and the df file live in ``textprep``, which holds no numpy.  Tables
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 import numpy as np
+
+# The df functions are reachable here too: perfbench reads compute_idf
+# and spans load_doc_freq and count_doc_freq under this module's name.
+from .textprep import _INTEGER, compute_idf, count_doc_freq  # noqa: F401
+from .textprep import load_doc_freq, save_doc_freq  # noqa: F401
 
 
 class EmbeddingParseError(ValueError):
@@ -57,51 +60,6 @@ class EmbeddingTable:
         get = self.rows.get
         return [i for i in map(get, tokens) if i is not None]
 
-
-@dataclass(frozen=True)
-class IdfTable:
-    """Smoothed idf over a corpus of ``corpus_size`` documents.
-
-    idf(t) = ln(N / (1 + df(t))); tokens never seen in the corpus fall
-    back to the df = 0 value ln(N), the most informative weight.
-    """
-
-    corpus_size: int
-    idf: dict[str, float] = field(default_factory=dict)
-    default_idf: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "default_idf", math.log(self.corpus_size))
-
-    def idf_of(self, token: str) -> float:
-        """idf for any token, with the df = 0 convention for unknowns."""
-        return self.idf.get(token, self.default_idf)
-
-
-def compute_idf(doc_freq: Mapping[str, int], corpus_size: int) -> IdfTable:
-    """Build an IdfTable with idf(t) = ln(N / (1 + df(t))).
-
-    Natural logarithm; df may equal N (smoothing keeps the log finite),
-    but no token can appear in more documents than the corpus holds.
-    """
-    if corpus_size < 1:
-        raise ValueError(f"corpus_size must be >= 1, got {corpus_size}")
-    idf = {}
-    for token, df in doc_freq.items():
-        if df < 0:
-            raise ValueError(f"negative document frequency for {token!r}: {df}")
-        if df > corpus_size:
-            raise ValueError(
-                f"document frequency for {token!r} exceeds the corpus size "
-                f"{corpus_size}: {df}"
-            )
-        idf[token] = math.log(corpus_size / (1 + df))
-    return IdfTable(corpus_size=corpus_size, idf=idf)
-
-
-# The integers of the header and the df file: int() alone also takes "1_0",
-# non-ASCII digits and surrounding whitespace, which the values reject.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 # Lines parsed per np.loadtxt call: large enough to amortize the call,
 # small enough that a block's strings stay a few MB.
@@ -211,51 +169,3 @@ def _parse_line(value: str, lineno: int, dimension: int) -> np.ndarray:
     if not np.all(np.isfinite(row)):
         raise EmbeddingParseError(f"non-finite value, line {lineno}")
     return row
-
-
-def load_doc_freq(source: IO[str]) -> tuple[dict[str, int], int]:
-    """Read the df TSV: first line "N<TAB><int>", then token<TAB>df rows.
-
-    Counts must be integers and each token may appear once; a violation
-    is a ValueError naming its line.
-    """
-    first = source.readline()
-    fields = first.rstrip("\n").split("\t")
-    if len(fields) != 2 or fields[0] != "N":
-        raise ValueError(f"malformed df header line: {first!r}")
-    corpus_size = _count(fields[1], 1)
-    doc_freq = {}
-    for lineno, line in enumerate(source, start=2):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"malformed df row, line {lineno}: {line!r}")
-        token, count = fields
-        if token in doc_freq:
-            raise ValueError(f"duplicate df token {token!r}, line {lineno}")
-        doc_freq[token] = _count(count, lineno)
-    return doc_freq, corpus_size
-
-
-def _count(value: str, lineno: int) -> int:
-    if not _INTEGER.fullmatch(value):
-        raise ValueError(f"non-integer df count, line {lineno}: {value!r}")
-    return int(value)
-
-
-def save_doc_freq(doc_freq: Mapping[str, int], corpus_size: int, sink: IO[str]) -> None:
-    sink.write(f"N\t{corpus_size}\n")
-    for token in sorted(doc_freq):
-        sink.write(f"{token}\t{doc_freq[token]}\n")
-
-
-def count_doc_freq(documents: Iterable[Iterable[str]]) -> tuple[dict[str, int], int]:
-    """Document frequencies over tokenized documents; returns (df, N)."""
-    doc_freq: dict[str, int] = {}
-    n_docs = 0
-    for tokens in documents:
-        n_docs += 1
-        for token in set(tokens):
-            doc_freq[token] = doc_freq.get(token, 0) + 1
-    return doc_freq, n_docs

@@ -13,6 +13,7 @@ import numpy as np
 
 from .aggregate import Representer, distance
 from .pairgen import TextPair
+from .settings import BINS
 
 
 @dataclass
@@ -99,7 +100,7 @@ def check_bins(bins: int) -> None:
 
 
 def distance_histograms(
-    related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = 100
+    related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = BINS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts of both distance sequences over ``bins`` equal-width bins
     spanning their pooled range: (related, non-related, bin edges)."""
@@ -116,7 +117,7 @@ def distance_histograms(
 
 
 def js_divergence(
-    related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = 100
+    related_d: Sequence[float], nonrelated_d: Sequence[float], bins: int = BINS
 ) -> float:
     """Jensen-Shannon divergence between the two binned distance
     distributions, natural log, over the pooled value range."""
@@ -206,7 +207,7 @@ def evaluate_method(
     method_name: str = "method",
     *,
     val_pairs: Sequence[TextPair],
-    bins: int = 100,
+    bins: int = BINS,
 ) -> EvalReport:
     """Score one representation method on a test set.
 

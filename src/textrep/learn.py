@@ -24,8 +24,10 @@ import numpy as np
 
 from . import evaluate  # optimal_split is read per call, so a wrapper sees it
 from .aggregate import WeightModel, encode, interpolation_matrix
-from .embeddings import EmbeddingTable, IdfTable
+from .embeddings import EmbeddingTable
 from .pairgen import TextPair
+from .settings import FOLDS, KAPPA_GRID, TrainConfig
+from .textprep import IdfTable
 
 # glibc's int malloc_trim(size_t pad), looked up in the running process;
 # None elsewhere.
@@ -48,47 +50,6 @@ class Couples:
     def __getitem__(self, index) -> "Couples":
         """The couples at an index array, boolean mask or slice."""
         return Couples(self.grams[index], self.labels[index])
-
-
-LOSSES = ("contrastive", "median")
-
-
-@dataclass
-class TrainConfig:
-    """Training settings: the home of each one's default and valid range."""
-
-    loss: str = "median"
-    kappa: float = 160.0
-    lam: float = 0.001
-    batch_size: int = 100
-    eta_initial: float = 0.01
-    eta_reduced: float = 0.001
-    stop_delta: float = 0.0005
-    seed: int = 42
-    n_max: int = 20
-    init_weight: float = 0.5
-    max_epochs: int = 500
-
-    def __post_init__(self):
-        inf = math.inf
-        for name, valid, rule in (
-            ("loss", self.loss in LOSSES, f"one of {LOSSES}"),
-            ("kappa", 0 < self.kappa < inf, "finite and > 0"),
-            ("lam", 0 <= self.lam < inf, "finite and >= 0"),
-            ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0,
-             "even and >= 2"),
-            ("eta_reduced", 0 < self.eta_reduced < inf, "finite and > 0"),
-            ("eta_initial", self.eta_reduced < self.eta_initial < inf,
-             "finite and above eta_reduced"),
-            ("stop_delta", 0 <= self.stop_delta < inf, "finite and >= 0"),
-            ("n_max", self.n_max >= 1, ">= 1"),
-            ("init_weight", abs(self.init_weight) < inf, "finite"),
-            ("max_epochs", self.max_epochs >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not valid:
-                raise ValueError(
-                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -301,8 +262,8 @@ def grid_search_kappa(
     table: EmbeddingTable,
     idf: IdfTable,
     config: TrainConfig,
-    grid: Sequence[float] = (10, 20, 40, 80, 160, 320),
-    folds: int = 5,
+    grid: Sequence[float] = KAPPA_GRID,
+    folds: int = FOLDS,
 ) -> tuple[float, dict[float, float]]:
     """Pick kappa by k-fold cross-validated split error (median loss).
 

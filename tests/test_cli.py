@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import textrep
 from textrep.aggregate import tfidf_cosine_distance, tfidf_vector
@@ -112,18 +112,24 @@ class TestPairsWiki:
         assert labels.count("1") == labels.count("0") == 5
 
 
+def storm_and_quake_tweets() -> str:
+    """Tweet JSONL in which four related and four non-related pairs
+    qualify: six tweets per hashtag, a minute apart, no shared words."""
+    rows = []
+    for i, tag_i in enumerate("abcdef"):
+        for tag, prefix in (("storm", "s"), ("quake", "q")):
+            text = " ".join(f"{prefix}{tag_i}{c}" for c in "vwxyz")
+            rows.append(json.dumps({
+                "text": f"{text} #{tag}", "hashtags": [tag],
+                "timestamp": i * 60, "author": "n",
+            }))
+    return "\n".join(rows) + "\n"
+
+
 class TestPairsTweets:
     def test_end_to_end(self, tmp_path):
         tweets = tmp_path / "tweets.jsonl"
-        rows = []
-        for i, tag_i in enumerate("abcdef"):
-            for tag, prefix in (("storm", "s"), ("quake", "q")):
-                text = " ".join(f"{prefix}{tag_i}{c}" for c in "vwxyz")
-                rows.append(json.dumps({
-                    "text": f"{text} #{tag}", "hashtags": [tag],
-                    "timestamp": i * 60, "author": "n",
-                }))
-        tweets.write_text("\n".join(rows) + "\n")
+        tweets.write_text(storm_and_quake_tweets())
         out = tmp_path / "pairs.tsv"
         assert run("pairs-tweets", "--tweets", tweets, "--out", out,
                    "--count", 4, "--seed", 1) == 0
@@ -606,10 +612,42 @@ PAIR_FILES = generated(st.lists(
     st.tuples(st.sampled_from("01"), WORDS, WORDS).map("\t".join),
     min_size=1, max_size=8).map(lambda rows: "\n".join(rows) + "\n"))
 
+# Tweet records with enough words, shared tags and close timestamps that
+# pairs often qualify; a spoiler gives one record's field another JSON
+# type, or deletes it.
+TWEET_RECORDS = st.lists(st.fixed_dictionaries({
+    "text": st.lists(st.sampled_from(
+        [f"w{i}" for i in range(20)] + ["#storm", "@ann", "http://t.co", "12"]),
+        min_size=7, max_size=10).map(" ".join),
+    "hashtags": st.lists(st.sampled_from(["storm", "#Storm", "quake", "news"]),
+                         min_size=1, max_size=2),
+    "timestamp": st.integers(0, 1800),
+}), min_size=2, max_size=10)
+DELETED = object()
+SPOILERS = st.tuples(
+    st.integers(0, 9), st.sampled_from(["text", "hashtags", "timestamp"]),
+    st.one_of(st.just(DELETED), st.none(), st.booleans(), st.floats(),
+              st.just("900"), st.lists(st.integers(), max_size=2)))
+
+
+def tweet_file(records, spoiler):
+    if spoiler is not None:
+        index, key, value = spoiler
+        record = records[index % len(records)]
+        if value is DELETED:
+            del record[key]
+        else:
+            record[key] = value
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+TWEET_FILES = generated(st.builds(tweet_file, TWEET_RECORDS,
+                                  st.one_of(st.none(), SPOILERS)))
+
 
 class TestGeneratedInputs:
-    """Generated df and pair files through dispatch: exit 0, or exit 2 with
-    one error line; never an exception."""
+    """Generated df, pair and tweet files through dispatch: exit 0, or exit
+    2 with one error line; never an exception."""
 
     @pytest.fixture(scope="class")
     def gendir(self, tmp_path_factory):
@@ -647,6 +685,25 @@ class TestGeneratedInputs:
                       "--val", pairs, "--emb", workdir / "vec.txt",
                       "--df", workdir / "df.tsv",
                       "--report", gendir / "report.json"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=TWEET_FILES)
+    @example(text=storm_and_quake_tweets())
+    def test_tweet_file(self, gendir, text):
+        tweets, out = gendir / "tweets.jsonl", gendir / "tweets.tsv"
+        tweets.write_text(text, encoding="utf-8")
+        code = self.outcome(("pairs-tweets", "--tweets", tweets,
+                             "--out", out, "--count", 2))
+        if code == 0:  # every record was read as written; 2 pairs per label
+            with open(tweets, encoding="utf-8") as fh:
+                docs = [json.loads(line) for line in fh if line.strip()]
+            assert all(isinstance(doc["text"], str)
+                       and isinstance(doc["hashtags"], list)
+                       and all(isinstance(t, str) for t in doc["hashtags"])
+                       and type(doc["timestamp"]) is int for doc in docs)
+            with open(out, encoding="utf-8") as fh:
+                labels = sorted(pair.label for pair in load_pairs(fh))
+            assert labels == [-1, -1, 1, 1]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -728,6 +785,37 @@ class TestImport:
                 "if m.split('.')[0] not in sys.stdlib_module_names "
                 "and m.split('.')[0] != 'textrep'))")
         assert run_python("-c", code).stdout.strip() == "[]"
+
+    def test_stages_without_array_math_load_no_numpy(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        words = " ".join(f"w{c}" for c in "abcdefghijklmnopqrstuvwxyz")
+        corpus.write_text(f"{words}\n\n{words}\n")
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text(storm_and_quake_tweets())
+        runs = [
+            ["--version"], ["--help"],
+            ["idf-build", "--corpus", corpus, "--out", tmp_path / "df.tsv"],
+            ["pairs-wiki", "--corpus", corpus, "--out", tmp_path / "w.tsv",
+             "--count", 2, "--nmin", 3, "--nmax", 5],
+            ["pairs-tweets", "--tweets", tweets, "--out", tmp_path / "t.tsv",
+             "--count", 2],
+        ]
+        # --version and --help end in argparse's SystemExit, not a return.
+        code = ("import contextlib, io, json, sys\n"
+                "from textrep.cli import dispatch\n"
+                "codes = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                "            contextlib.redirect_stderr(io.StringIO()):\n"
+                "        try:\n"
+                "            codes.append(dispatch(argv))\n"
+                "        except SystemExit as exc:\n"
+                "            codes.append(exc.code)\n"
+                "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+        argv = json.dumps([[str(a) for a in args] for args in runs])
+        codes, numpy_loaded = json.loads(run_python("-c", code, argv).stdout)
+        assert codes == [0] * len(runs)
+        assert not numpy_loaded
 
     def test_runs_as_module(self):
         proc = run_python("-m", "textrep.cli", "--version")
