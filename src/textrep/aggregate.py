@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
@@ -49,7 +50,10 @@ class WeightModel:
     metric: ClassVar[str] = "euclidean"
 
     def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=np.float64)
+        try:
+            self.weights = np.array(self.weights, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("weights must be finite") from None
         self.weights.flags.writeable = False
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
@@ -72,7 +76,10 @@ class WeightModel:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightModel":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("model file nests its JSON too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("model file must hold a JSON object")
         doc.setdefault("metadata", {})
@@ -143,19 +150,49 @@ def _idf_by_row(table: EmbeddingTable, idf: IdfTable) -> list[float]:
     return list(map(idf.idf.get, table.rows, itertools.repeat(idf.default_idf)))
 
 
-def _encoder(
-    table: EmbeddingTable, key: list[float]
-) -> Callable[[NormalizedText], list[int]]:
-    """The per-text encoder: a text's in-vocabulary row ids, in descending
-    idf order, where ``key`` is ``_idf_by_row(table, idf)``."""
-    row_ids, by_idf = table.row_ids, key.__getitem__
+class _Encoding:
+    """The encoding every method shares over one (table, idf) pair.
 
-    def encode_text(text: NormalizedText) -> list[int]:
-        ids = row_ids(text.tokens)
-        ids.sort(key=by_idf, reverse=True)
-        return ids
+    ``key`` is ``_idf_by_row(table, idf)``; ``encode_text`` gives a
+    text's in-vocabulary row ids in descending idf order.  From the
+    second representer built over the pair on, ``batch`` memoizes them
+    in ``memo``, keyed weakly by the text, so an entry lives as long as
+    its text; callers slice the shared lists and never mutate them.
+    Nothing here refers to the table, which holds this in its
+    ``_encodings``, so no reference cycle keeps its matrix alive.
+    """
 
-    return encode_text
+    def __init__(self, table: EmbeddingTable, idf: IdfTable):
+        self.idf = idf  # held, so that id(idf) names no other table
+        self.key = _idf_by_row(table, idf)
+        get, by_idf = table.rows.get, self.key.__getitem__
+
+        def encode_text(text: NormalizedText) -> list[int]:
+            ids = [i for i in map(get, text.tokens) if i is not None]
+            ids.sort(key=by_idf, reverse=True)
+            return ids
+
+        self.encode_text = encode_text
+        self.representers = 0
+        self.memo: weakref.WeakKeyDictionary | None = None
+
+    @classmethod
+    def of(cls, table: EmbeddingTable, idf: IdfTable) -> "_Encoding":
+        """The pair's encoding, built by its first caller."""
+        encoding = table._encodings.get(id(idf))
+        if encoding is None:
+            encoding = table._encodings[id(idf)] = cls(table, idf)
+        return encoding
+
+    def batch(self, texts: Iterable[NormalizedText]) -> list[list[int]]:
+        if self.memo is None:
+            return list(map(self.encode_text, texts))
+        memo, encoded = self.memo, []
+        for text in texts:
+            if (ids := memo.get(text)) is None:
+                ids = memo[text] = self.encode_text(text)
+            encoded.append(ids)
+        return encoded
 
 
 def encode(
@@ -164,9 +201,10 @@ def encode(
     """Each text's in-vocabulary row ids, in descending idf order.
 
     The sort is stable, so equal idf keeps text order: a text's ids equal
-    ``table.row_ids(sort_by_idf(text, idf).tokens)``.
+    ``table.row_ids(sort_by_idf(text, idf).tokens)``.  The memo of the
+    pair's representers is neither read nor filled.
     """
-    return list(map(_encoder(table, _idf_by_row(table, idf)), texts))
+    return list(map(_Encoding.of(table, idf).encode_text, texts))
 
 
 def _represent_blocks(
@@ -295,22 +333,27 @@ class Representer:
 
 
 def _representer(
-    table: EmbeddingTable,
-    key: list[float],
+    encoding: _Encoding,
     spec: tuple,
     represent: Callable[[list[list[int]]], tuple[np.ndarray, np.ndarray]],
 ) -> Representer:
     """``spec`` behind the batch entry point ``represent(encoded)`` and
-    the one-text driver, both fed by one per-text encoder.
+    the one-text driver, both fed by the pair's shared ``encoding``.
 
     The one-text driver runs the kernel on one text's k ids, with no
-    grouping, output matrix or mask.  It allocates the vector before the
-    kernel's temporaries, as the batch driver allocates its output.
-    Vectors that a caller keeps then pack together instead of between
-    freed gathers: returning the kernel's own block raised peak RSS by
-    8-12 MB in a process that kept 6000 dim-300 vectors.
+    grouping, output matrix, mask or memo.  It allocates the vector
+    before the kernel's temporaries, as the batch driver allocates its
+    output.  Vectors that a caller keeps then pack together instead of
+    between freed gathers: returning the kernel's own block raised peak
+    RSS by 8-12 MB in a process that kept 6000 dim-300 vectors.
     """
-    encode_text = _encoder(table, key)
+    # Texts are scored again where several methods share the pair; a
+    # process that builds one representer, as each CLI command does,
+    # scores each text once, so it keeps nothing.
+    encoding.representers += 1
+    if encoding.representers == 2:
+        encoding.memo = weakref.WeakKeyDictionary()
+    encode_text = encoding.encode_text
     width, length, kernel = spec
 
     def single(text: NormalizedText) -> np.ndarray:
@@ -324,7 +367,7 @@ def _representer(
         return vector
 
     return Representer(
-        batch=lambda texts: represent(list(map(encode_text, texts))),
+        batch=lambda texts: represent(encoding.batch(texts)),
         single=single,
     )
 
@@ -343,7 +386,6 @@ def learned_representer(
             f"{model.normalization_version!r}, but this textrep normalizes "
             f"text as {NORMALIZATION_VERSION!r}"
         )
-    key = _idf_by_row(table, idf)
     zs = rank_weights(model)
     vectors = table.vectors
 
@@ -353,7 +395,7 @@ def learned_representer(
         return block
 
     spec = table.dimension, functools.partial(min, len(zs)), kernel
-    return _representer(table, key, spec,
+    return _representer(_Encoding.of(table, idf), spec,
                         lambda encoded: represent_learned(encoded, spec))
 
 
@@ -363,12 +405,12 @@ def baseline_representer(
     """A fixed baseline as a Representer."""
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    key = _idf_by_row(table, idf)
+    encoding = _Encoding.of(table, idf)
     vectors, dim = table.vectors, table.dimension
     top30 = method.endswith("_top30")
     length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)
     if method == "idf_weighted_mean":
-        row_idf = np.array(key)
+        row_idf = np.array(encoding.key)
         spec = dim, length, lambda ids, k: np.einsum(
             "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
     elif method.startswith("minmax"):
@@ -380,7 +422,7 @@ def baseline_representer(
         reduce = getattr(np.ndarray, method.removesuffix("_top30"))  # mean/max/min
         spec = dim, length, lambda ids, k: reduce(vectors[ids], axis=0)
     return _representer(
-        table, key, spec,
+        encoding, spec,
         lambda encoded: represent_baseline(encoded, table, spec, method))
 
 

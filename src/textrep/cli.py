@@ -251,15 +251,25 @@ def cmd_baseline_eval(args):
 
 
 def cmd_embed(args):
+    if args.model and args.method:
+        raise UsageError("--method cannot be combined with --model")
+    import numpy as np
+
     from . import aggregate
 
     table, idf = _load_tables(args)
     text = normalize(args.text)
-    if args.model:
-        model = aggregate.load_model(args.model)
-        rep = aggregate.learned_representer(table, idf, model)(text)
-    else:
-        rep = aggregate.baseline_representer(table, idf, args.method)(text)
+    # An overflow is the data error below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.model:
+            model = aggregate.load_model(args.model)
+            rep = aggregate.learned_representer(table, idf, model)(text)
+        else:
+            rep = aggregate.baseline_representer(
+                table, idf, args.method or "mean")(text)
+    if not np.isfinite(rep.vector).all():
+        raise ValueError("the representation overflows: it has non-finite "
+                         "values")
     print(",".join(f"{v:.10g}" for v in rep.vector))
 
 
@@ -320,7 +330,9 @@ def build_parser() -> _Parser:
                              default="euclidean")}),
         ("embed", cmd_embed, "print a text's representation as CSV", {
             **tables, "--model": {},
-            "--method": dict(default="mean", choices=BASELINE_METHODS),
+            "--method": dict(choices=BASELINE_METHODS,
+                             help="baseline method, without --model "
+                                  "(default mean)"),
             "--text": need}),
     ):
         p = sub.add_parser(name, help=text)

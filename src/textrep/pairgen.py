@@ -231,7 +231,8 @@ def load_tweets(source: IO[str]) -> list[TweetRecord]:
                 raise TypeError("text must be a string, hashtags a list of "
                                 "strings and timestamp an integer")
             records.append(TweetRecord(text, frozenset(tags), stamp))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError,
+                RecursionError) as exc:
             raise ValueError(
                 f"malformed tweet record, line {lineno}: need a JSON object "
                 f"with text, hashtags and timestamp ({exc!r})"

@@ -1,6 +1,9 @@
+import gc
 import io
 import math
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from textrep.aggregate import (
     Representation,
     UnrepresentableText,
     WeightModel,
+    _Encoding,
     _idf_by_row,
     baseline_representer,
     distance,
@@ -22,10 +26,11 @@ from textrep.aggregate import (
     tfidf_representer,
     tfidf_vector,
 )
-from textrep.embeddings import compute_idf
+from textrep.embeddings import EmbeddingTable, compute_idf
+from textrep.evaluate import evaluate_method
 from textrep.textprep import NormalizedText, sort_by_idf
 
-from synth import table_from
+from synth import make_pairs, split_pairs, table_from
 
 
 def model_of(weights):
@@ -400,6 +405,120 @@ class TestBatchRepresentation:
             assert vectors.nbytes == 4000 * 300 * 8
             extra = peak - before - vectors.nbytes
             assert extra < 4 * 2**20, f"{extra / 2**20:.1f} MB"
+
+
+METHODS = ("learned",) + BASELINE_METHODS
+
+
+def representer_of(method, table, idf, model):
+    if method == "learned":
+        return learned_representer(table, idf, model)
+    return baseline_representer(table, idf, method)
+
+
+def fresh_copy(table):
+    """The same table as a new object, with its own encoding cache."""
+    return EmbeddingTable(rows=dict(table.rows), vectors=table.vectors.copy())
+
+
+class TestSharedEncoding:
+    """Every representer over one (table, idf) pair shares one encoding,
+    and from the second one on, ``batch`` memoizes each text's ids."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(worlds())
+    def test_batches_equal_those_over_a_fresh_table(self, world):
+        table, idf, model, texts = world
+        shared = [representer_of(m, table, idf, model) for m in METHODS]
+        for _ in range(2):  # the second pass reads every text from the memo
+            for method, representer in zip(METHODS, shared):
+                vectors, mask = representer.batch(texts)
+                want, want_mask = representer_of(
+                    method, fresh_copy(table), idf, model).batch(texts)
+                assert np.array_equal(vectors, want)
+                assert np.array_equal(mask, want_mask)
+        assert len(_Encoding.of(table, idf).memo) == len(set(texts))
+
+    def test_reports_equal_those_over_a_fresh_table(self):
+        table, idf, pairs = make_pairs(n_related=60, n_nonrelated=60, seed=3)
+        _, val_p, test_p = split_pairs(pairs)
+        model = model_of(np.linspace(1.0, 0.2, 8))
+        shared = [representer_of(m, table, idf, model) for m in METHODS]
+        for _ in range(2):
+            for method, representer in zip(METHODS, shared):
+                fresh = representer_of(method, fresh_copy(table), idf, model)
+                assert (evaluate_method(test_p, representer, "euclidean",
+                                        method, val_pairs=val_p)
+                        == evaluate_method(test_p, fresh, "euclidean",
+                                           method, val_pairs=val_p))
+
+    def test_memo_lives_as_long_as_its_texts(self):
+        table = table_from({"a": [1.0], "b": [2.0]})
+        idf = compute_idf({"a": 0, "b": 5}, 10)
+        model = model_of([1.0, 0.5])
+        texts = [NormalizedText(("b", "a", "zz")), NormalizedText(("a",))]
+        for method in ("learned", "mean"):
+            representer_of(method, table, idf, model).batch(texts)
+        memo = _Encoding.of(table, idf).memo
+        assert [memo[text] for text in texts] == [[0, 1], [0]]
+        del texts
+        assert len(memo) == 0
+
+    def test_table_is_freed_without_a_gc_pass(self):
+        table = table_from({"a": [1.0], "b": [2.0]})
+        idf = compute_idf({"a": 0, "b": 5}, 10)
+        texts = [NormalizedText(("b", "a"))]
+        for method in METHODS:
+            representer_of(method, table, idf, model_of([1.0])).batch(texts)
+        encode(texts, table, idf)
+        alive = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_each_idf_table_gets_its_own_order(self):
+        table = table_from({"a": [1.0], "b": [2.0]})
+        text = NormalizedText(("a", "b"))
+        for i in range(6):
+            # Each idf table is dropped before the next is made, so the
+            # next may take its address: an id that outlived its table
+            # would hand the new one a stale order.
+            rare, common = ("a", "b") if i % 2 else ("b", "a")
+            idf = compute_idf({rare: 0, common: 5}, 10)
+            for _ in range(2):  # the second one memoizes
+                representer = baseline_representer(table, idf, "mean_top30")
+                assert np.array_equal(representer.batch([text])[0][0],
+                                      table.vectors[table.rows[rare]])
+            assert encode([text], table, idf) == [
+                [table.rows[rare], table.rows[common]]]
+            del idf, representer
+
+    def test_table_pickles_without_its_cache(self):
+        table = table_from({"a": [1.0], "b": [2.0]})
+        idf = compute_idf({"a": 0, "b": 5}, 10)
+        for method in ("learned", "mean"):
+            representer_of(method, table, idf, model_of([1.0])).batch(
+                [NormalizedText(("b", "a"))])
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy.rows == table.rows and copy._encodings == {}
+        assert np.array_equal(copy.vectors, table.vectors)
+        assert len(table._encodings) == 1
+
+    def test_one_representer_keeps_nothing(self):
+        table = table_from({"a": [1.0], "b": [2.0]})
+        idf = compute_idf({"a": 0, "b": 5}, 10)
+        texts = [NormalizedText(("b", "a"))]
+        representer = learned_representer(table, idf, model_of([1.0, 0.5]))
+        representer.batch(texts)
+        assert _Encoding.of(table, idf).memo is None
+        # encode and the one-text driver neither fill nor need the memo
+        baseline_representer(table, idf, "max")
+        encode(texts, table, idf)
+        representer(texts[0])
+        assert len(_Encoding.of(table, idf).memo) == 0
 
 
 class TestTfidf:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -124,6 +125,12 @@ def storm_and_quake_tweets() -> str:
                 "timestamp": i * 60, "author": "n",
             }))
     return "\n".join(rows) + "\n"
+
+
+def nested_model() -> str:
+    """A model file whose metadata nests lists 5000 deep."""
+    return ('{"n_max": 1, "weights": [1.0], "metadata": '
+            + "[" * 5000 + "]" * 5000 + "}")
 
 
 class TestPairsTweets:
@@ -314,6 +321,32 @@ class TestEmbed:
         assert run("embed", "--emb", workdir / "vec.txt",
                    "--df", workdir / "df.tsv", "--text", "zzz qqq") == 2
 
+    def test_method_with_model_is_usage_error(self, workdir, tmp_path,
+                                              capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
+        assert run("embed", "--emb", workdir / "vec.txt",
+                   "--df", workdir / "df.tsv", "--model", model_path,
+                   "--method", "max", "--text", "t0w1 s3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: --method cannot be combined "
+                                "with --model\n")
+
+    def test_overflowing_vector_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "vec.txt").write_text("2 1\na 2\nb 3\n")
+        (tmp_path / "df.tsv").write_text("N\t10\na\t1\nb\t2\n")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"n_max": 2,
+                                          "weights": [1e308, 1e308]}))
+        assert run("embed", "--emb", tmp_path / "vec.txt",
+                   "--df", tmp_path / "df.tsv", "--model", model_path,
+                   "--text", "a b") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the representation overflows: it "
+                                "has non-finite values\n")
+
 
 class TestDataErrors:
     def test_bad_pair_label(self, workdir, tmp_path, capsys):
@@ -420,6 +453,27 @@ class TestDataErrors:
                    "--report", tmp_path / "r.json") == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / "r.json").exists()
+
+    def test_deeply_nested_model_file(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(nested_model())
+        assert run("embed", "--emb", workdir / "vec.txt",
+                   "--df", workdir / "df.tsv", "--model", model_path,
+                   "--text", "t0w1 s3") == 2
+        assert capsys.readouterr().err == (
+            "error: model file nests its JSON too deeply\n")
+
+    def test_deeply_nested_tweet_record(self, tmp_path, capsys):
+        tweets = tmp_path / "tweets.jsonl"
+        good = {"text": "a b c d e #x", "hashtags": ["x"], "timestamp": 0}
+        tweets.write_text(json.dumps(good) + "\n"
+                          + '{"text": ' + "[" * 5000 + "]" * 5000 + "}\n")
+        assert run("pairs-tweets", "--tweets", tweets,
+                   "--out", tmp_path / "p.tsv", "--count", 1) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: malformed tweet record, line 2: ")
+        assert not (tmp_path / "p.tsv").exists()
 
     def test_model_without_metric_is_euclidean(self, workdir, tmp_path,
                                                capsys):
@@ -645,31 +699,80 @@ TWEET_FILES = generated(st.builds(tweet_file, TWEET_RECORDS,
                                   st.one_of(st.none(), SPOILERS)))
 
 
+# Model documents: n_max and a weight list of that length, then perhaps
+# one field given another JSON value, or deleted.  Weights span the float
+# range, non-finite values and integers beyond it included.
+WEIGHT_VALUES = st.one_of(st.floats(), st.integers(-2, 2),
+                          st.just(10**400), st.booleans(), st.just("1.5"))
+MODEL_DOCS = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
+    {"n_max": st.just(n),
+     "weights": st.lists(st.floats(-10, 10), min_size=n, max_size=n)},
+    optional={"metric": st.just("euclidean"),
+              "normalization_version": st.just("v1"),
+              "metadata": st.just({"loss": "median"})}))
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(),
+    st.sampled_from(["euclidean", "cosine", "v1", "v0", "2"]),
+    st.lists(WEIGHT_VALUES, max_size=5), st.just({}))
+MODEL_SPOILERS = st.tuples(
+    st.sampled_from(["n_max", "weights", "metric", "normalization_version",
+                     "metadata"]),
+    st.one_of(st.just(DELETED), JSON_VALUES))
+
+
+def model_file(doc, spoiler):
+    if spoiler is not None:
+        key, value = spoiler
+        if value is DELETED:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+MODEL_FILES = st.builds(model_file, MODEL_DOCS,
+                        st.one_of(st.none(), MODEL_SPOILERS))
+
+
+def well_formed_model(doc) -> bool:
+    """Whether a model document holds what the README's model contract
+    asks for."""
+    if not isinstance(doc, dict):
+        return False
+    weights = doc.get("weights")
+    return (type(doc.get("n_max")) is int and type(weights) is list and len(weights) == doc["n_max"]
+            and all(type(w) in (int, float) and math.isfinite(w)
+                    for w in weights)
+            and doc.get("metric", "euclidean") == "euclidean"
+            and doc.get("normalization_version", "v1") == "v1"
+            and type(doc.get("metadata", {})) is dict)
+
+
 class TestGeneratedInputs:
-    """Generated df, pair and tweet files through dispatch: exit 0, or exit
-    2 with one error line; never an exception."""
+    """Generated df, pair, tweet and model files through dispatch: exit 0,
+    or exit 2 with one error line; never an exception."""
 
     @pytest.fixture(scope="class")
     def gendir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("generated")
 
     def outcome(self, argv):
-        err = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()),
-              contextlib.redirect_stderr(err)):
+        """The exit code and stdout of a run that passed the check."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(*argv)
         lines = err.getvalue().splitlines()
         assert code == 0 or (code == 2 and len(lines) == 1
                              and lines[0].startswith("error: ")), (code, lines)
-        return code
+        return code, out.getvalue()
 
     @settings(max_examples=150, deadline=None)
     @given(text=DF_FILES)
     def test_df_file(self, workdir, gendir, text):
         df = gendir / "df.tsv"
         df.write_text(text, encoding="utf-8")
-        code = self.outcome(("embed", "--emb", workdir / "vec.txt",
-                             "--df", df, "--text", "t0w1 s1"))
+        code, _ = self.outcome(("embed", "--emb", workdir / "vec.txt",
+                                "--df", df, "--text", "t0w1 s1"))
         if code == 0:  # every count was read as written: ASCII digits
             rows = [line.split("\t") for line in text.split("\n")
                     if line.strip()]
@@ -687,13 +790,27 @@ class TestGeneratedInputs:
                       "--report", gendir / "report.json"))
 
     @settings(max_examples=150, deadline=None)
+    @given(text=generated(MODEL_FILES))
+    @example(text=nested_model())
+    def test_model_file(self, workdir, gendir, text):
+        model_path = gendir / "model.json"
+        model_path.write_text(text, encoding="utf-8")
+        code, out = self.outcome(("embed", "--emb", workdir / "vec.txt",
+                                  "--df", workdir / "df.tsv",
+                                  "--model", model_path, "--text", "t0w1 s1"))
+        if code == 0:  # the model was well formed; its vector is finite
+            assert well_formed_model(json.loads(text))
+            values = [float(v) for v in out.split(",")]
+            assert len(values) == 20 and all(map(math.isfinite, values))
+
+    @settings(max_examples=150, deadline=None)
     @given(text=TWEET_FILES)
     @example(text=storm_and_quake_tweets())
     def test_tweet_file(self, gendir, text):
         tweets, out = gendir / "tweets.jsonl", gendir / "tweets.tsv"
         tweets.write_text(text, encoding="utf-8")
-        code = self.outcome(("pairs-tweets", "--tweets", tweets,
-                             "--out", out, "--count", 2))
+        code, _ = self.outcome(("pairs-tweets", "--tweets", tweets,
+                                "--out", out, "--count", 2))
         if code == 0:  # every record was read as written; 2 pairs per label
             with open(tweets, encoding="utf-8") as fh:
                 docs = [json.loads(line) for line in fh if line.strip()]
