@@ -158,12 +158,10 @@ class _Encoding:
     second representer built over the pair on, ``batch`` memoizes them
     in ``memo``, keyed weakly by the text, so an entry lives as long as
     its text; callers slice the shared lists and never mutate them.
-    Nothing here refers to the table, which holds this in its
-    ``_encodings``, so no reference cycle keeps its matrix alive.
     """
 
     def __init__(self, table: EmbeddingTable, idf: IdfTable):
-        self.idf = idf  # held, so that id(idf) names no other table
+        self.idf = idf  # held, so that _encoding can test it by identity
         self.key = _idf_by_row(table, idf)
         get, by_idf = table.rows.get, self.key.__getitem__
 
@@ -176,14 +174,6 @@ class _Encoding:
         self.representers = 0
         self.memo: weakref.WeakKeyDictionary | None = None
 
-    @classmethod
-    def of(cls, table: EmbeddingTable, idf: IdfTable) -> "_Encoding":
-        """The pair's encoding, built by its first caller."""
-        encoding = table._encodings.get(id(idf))
-        if encoding is None:
-            encoding = table._encodings[id(idf)] = cls(table, idf)
-        return encoding
-
     def batch(self, texts: Iterable[NormalizedText]) -> list[list[int]]:
         if self.memo is None:
             return list(map(self.encode_text, texts))
@@ -195,6 +185,21 @@ class _Encoding:
         return encoded
 
 
+# Each table's encoding of the idf it was last paired with.  An entry dies
+# with its table, because the encoding refers to the table's rows, not to
+# the table.  Under threads the worst case is a text encoded twice.
+_ENCODINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _encoding(table: EmbeddingTable, idf: IdfTable) -> _Encoding:
+    """The pair's encoding, built by its first caller.  Pairing the table
+    with another idf table replaces it, and with it the memo."""
+    encoding = _ENCODINGS.get(table)
+    if encoding is None or encoding.idf is not idf:
+        encoding = _ENCODINGS[table] = _Encoding(table, idf)
+    return encoding
+
+
 def encode(
     texts: Iterable[NormalizedText], table: EmbeddingTable, idf: IdfTable
 ) -> list[list[int]]:
@@ -204,7 +209,7 @@ def encode(
     ``table.row_ids(sort_by_idf(text, idf).tokens)``.  The memo of the
     pair's representers is neither read nor filled.
     """
-    return list(map(_Encoding.of(table, idf).encode_text, texts))
+    return list(map(_encoding(table, idf).encode_text, texts))
 
 
 def _represent_blocks(
@@ -395,7 +400,7 @@ def learned_representer(
         return block
 
     spec = table.dimension, functools.partial(min, len(zs)), kernel
-    return _representer(_Encoding.of(table, idf), spec,
+    return _representer(_encoding(table, idf), spec,
                         lambda encoded: represent_learned(encoded, spec))
 
 
@@ -405,7 +410,7 @@ def baseline_representer(
     """A fixed baseline as a Representer."""
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    encoding = _Encoding.of(table, idf)
+    encoding = _encoding(table, idf)
     vectors, dim = table.vectors, table.dimension
     top30 = method.endswith("_top30")
     length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)

@@ -83,30 +83,39 @@ def _write_manifest(out_path, args: argparse.Namespace, inputs: list,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read(path, load):
+    """``load(fh)`` over the text file at ``path``.  Bytes that are not
+    UTF-8 are a data error that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _load_idf(args):
-    with open(args.df, "r", encoding="utf-8") as fh:
-        return compute_idf(*load_doc_freq(fh))
+    return compute_idf(*_read(args.df, load_doc_freq))
 
 
 def _load_tables(args):
+    """(embedding table, idf table).  The df file is read first: every
+    command reads its small inputs before the embedding file, so that an
+    error in them shows before the long parse."""
     from .embeddings import load_embeddings
 
-    with open(args.emb, "r", encoding="utf-8") as fh:
-        table = load_embeddings(fh)
-    return table, _load_idf(args)
+    idf = _load_idf(args)
+    return _read(args.emb, load_embeddings), idf
 
 
-def _read_pairs(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_pairs(fh)
+def _load_model(path):
+    from .aggregate import WeightModel
+
+    return _read(path, lambda fh: WeightModel.from_json(fh.read()))
 
 
 def cmd_idf_build(args):
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        documents = (
-            normalize(line).tokens for line in fh if line.strip()
-        )
-        doc_freq, n_docs = count_doc_freq(documents)
+    doc_freq, n_docs = _read(args.corpus, lambda fh: count_doc_freq(
+        normalize(line).tokens for line in fh if line.strip()))
     if n_docs == 0:
         raise ValueError("corpus contains no documents")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -119,8 +128,7 @@ def cmd_idf_build(args):
 def cmd_pairs_wiki(args):
     check_lengths(args.nmin, args.nmax)
     check_count(args.count)
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        articles = load_articles(fh)
+    articles = _read(args.corpus, load_articles)
     pairs = wiki_pairs(articles, args.nmin, args.nmax, args.count, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
@@ -129,8 +137,7 @@ def cmd_pairs_wiki(args):
 
 def cmd_pairs_tweets(args):
     check_count(args.count)
-    with open(args.tweets, "r", encoding="utf-8") as fh:
-        tweets = load_tweets(fh)
+    tweets = _read(args.tweets, load_tweets)
     pairs = tweet_pairs(tweets, args.count, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
@@ -168,8 +175,9 @@ def cmd_train(args):
     from . import aggregate, learn
 
     config = _train_config(args)
+    pairs = _read(args.pairs, load_pairs)
     table, idf = _load_tables(args)
-    model, trace = learn.train(_read_pairs(args.pairs), table, idf, config)
+    model, trace = learn.train(pairs, table, idf, config)
     aggregate.save_model(model, args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -189,10 +197,10 @@ def cmd_grid_kappa(args):
     config = _train_config(args)
     grid = [float(x) for x in args.grid.split(",")]
     learn.kappa_configs(config, grid, args.folds)  # checked before any input
+    pairs = _read(args.pairs, load_pairs)
     table, idf = _load_tables(args)
     best, scores = learn.grid_search_kappa(
-        _read_pairs(args.pairs), table, idf, config, grid=grid,
-        folds=args.folds)
+        pairs, table, idf, config, grid=grid, folds=args.folds)
     doc = {"kappa_best": best,
            "scores": {str(k): v for k, v in sorted(scores.items())}}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -200,15 +208,16 @@ def cmd_grid_kappa(args):
     return args.out, [args.pairs, args.emb, args.df], f"kappa_best={best}"
 
 
-def _evaluate(args, inputs, representer, metric, method_name):
-    """Score the --pairs test split with theta fitted on --val, write the
-    report and the --hist CSV, and return what dispatch needs for the
-    manifest."""
+def _evaluate(args, pairs, inputs, representer, metric, method_name):
+    """Score the test split of ``pairs``, (test, validation), with theta
+    fitted on the validation split, write the report and the --hist CSV,
+    and return what dispatch needs for the manifest."""
     from . import evaluate
 
+    test_pairs, val_pairs = pairs
     report = evaluate.evaluate_method(
-        _read_pairs(args.pairs), representer, metric, method_name=method_name,
-        val_pairs=_read_pairs(args.val), bins=args.bins)
+        test_pairs, representer, metric, method_name=method_name,
+        val_pairs=val_pairs, bins=args.bins)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.hist:
@@ -221,9 +230,10 @@ def cmd_eval(args):
     from . import aggregate, evaluate
 
     evaluate.check_bins(args.bins)
+    pairs = _read(args.pairs, load_pairs), _read(args.val, load_pairs)
+    model = _load_model(args.model)
     table, idf = _load_tables(args)
-    model = aggregate.load_model(args.model)
-    return _evaluate(args,
+    return _evaluate(args, pairs,
                      [args.pairs, args.val, args.model, args.emb, args.df],
                      aggregate.learned_representer(table, idf, model),
                      model.metric,
@@ -236,6 +246,7 @@ def cmd_baseline_eval(args):
     from . import aggregate, evaluate
 
     evaluate.check_bins(args.bins)
+    pairs = _read(args.pairs, load_pairs), _read(args.val, load_pairs)
     # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
     if args.method == "tfidf":
         idf = _load_idf(args)
@@ -247,7 +258,7 @@ def cmd_baseline_eval(args):
         representer = aggregate.baseline_representer(table, idf, args.method)
         metric = args.metric
         inputs = [args.pairs, args.val, args.emb, args.df]
-    return _evaluate(args, inputs, representer, metric, args.method)
+    return _evaluate(args, pairs, inputs, representer, metric, args.method)
 
 
 def cmd_embed(args):
@@ -257,12 +268,12 @@ def cmd_embed(args):
 
     from . import aggregate
 
+    model = _load_model(args.model) if args.model else None
     table, idf = _load_tables(args)
     text = normalize(args.text)
     # An overflow is the data error below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.model:
-            model = aggregate.load_model(args.model)
+        if model is not None:
             rep = aggregate.learned_representer(table, idf, model)(text)
         else:
             rep = aggregate.baseline_representer(

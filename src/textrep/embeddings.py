@@ -2,13 +2,12 @@
 
 All downstream math reads vectors through the table defined here; the idf
 table and the df file live in ``textprep``, which holds no numpy.  Tables
-are immutable after construction, but for one internal cache, and safe to
-share across workers.
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterable
 
@@ -24,25 +23,19 @@ class EmbeddingParseError(ValueError):
     """Raised when an embedding file violates the word2vec text format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Immutable token -> row map over one read-only (rows, dim) matrix.
 
     ``vectors[rows[token]]`` is the token's embedding, and ``rows``
     numbers its tokens 0..n-1 in insertion order.  Absence is a value,
     not an error: no default vector is ever substituted and no case
-    folding happens here.
-
-    ``_encodings`` is the one internal state: ``aggregate``'s shared
-    encoding per idf table, keyed by ``id(idf)``.  Under threads its
-    worst case is a text encoded twice.
+    folding happens here.  Tables compare and hash by identity.
     """
 
     rows: dict[str, int]
     vectors: np.ndarray
     duplicate_warnings: int = 0
-    _encodings: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.rows):
@@ -53,10 +46,6 @@ class EmbeddingTable:
         if list(self.rows.values()) != list(range(len(self.rows))):
             raise ValueError("rows must number the tokens 0..n-1 in order")
         self.vectors.flags.writeable = False
-
-    def __getstate__(self):
-        # The cache holds closures; a copy or a worker builds its own.
-        return {**self.__dict__, "_encodings": {}}
 
     @property
     def dimension(self) -> int:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import io
 import math
@@ -14,7 +15,7 @@ from textrep.aggregate import (
     Representation,
     UnrepresentableText,
     WeightModel,
-    _Encoding,
+    _encoding,
     _idf_by_row,
     baseline_representer,
     distance,
@@ -417,7 +418,7 @@ def representer_of(method, table, idf, model):
 
 
 def fresh_copy(table):
-    """The same table as a new object, with its own encoding cache."""
+    """The same table as a new object, with its own encoding."""
     return EmbeddingTable(rows=dict(table.rows), vectors=table.vectors.copy())
 
 
@@ -437,7 +438,7 @@ class TestSharedEncoding:
                     method, fresh_copy(table), idf, model).batch(texts)
                 assert np.array_equal(vectors, want)
                 assert np.array_equal(mask, want_mask)
-        assert len(_Encoding.of(table, idf).memo) == len(set(texts))
+        assert len(_encoding(table, idf).memo) == len(set(texts))
 
     def test_reports_equal_those_over_a_fresh_table(self):
         table, idf, pairs = make_pairs(n_related=60, n_nonrelated=60, seed=3)
@@ -459,7 +460,7 @@ class TestSharedEncoding:
         texts = [NormalizedText(("b", "a", "zz")), NormalizedText(("a",))]
         for method in ("learned", "mean"):
             representer_of(method, table, idf, model).batch(texts)
-        memo = _Encoding.of(table, idf).memo
+        memo = _encoding(table, idf).memo
         assert [memo[text] for text in texts] == [[0, 1], [0]]
         del texts
         assert len(memo) == 0
@@ -502,10 +503,33 @@ class TestSharedEncoding:
         for method in ("learned", "mean"):
             representer_of(method, table, idf, model_of([1.0])).batch(
                 [NormalizedText(("b", "a"))])
-        copy = pickle.loads(pickle.dumps(table))
-        assert copy.rows == table.rows and copy._encodings == {}
-        assert np.array_equal(copy.vectors, table.vectors)
-        assert len(table._encodings) == 1
+        shared = _encoding(table, idf)
+        for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table),
+                     copy.deepcopy(table)):
+            assert twin.rows == table.rows
+            assert np.array_equal(twin.vectors, table.vectors)
+            assert _encoding(twin, idf) is not shared
+            assert _encoding(twin, idf).memo is None
+        assert _encoding(table, idf) is shared and len(shared.memo) == 0
+
+    def test_dropped_idf_tables_are_freed(self):
+        # The table keeps the encoding of its last idf table only, so the
+        # idf tables paired with it before are freed, gc pass or not.
+        table = table_from({"a": [1.0], "b": [2.0]})
+        text = NormalizedText(("b", "a"))
+        dropped = []
+        gc.disable()
+        try:
+            for n in range(10, 15):
+                idf = compute_idf({"a": 0, "b": 5}, n)
+                for method in ("learned", "mean"):
+                    representer_of(method, table, idf, model_of([1.0])).batch(
+                        [text])
+                dropped.append(weakref.ref(idf))
+                del idf
+            assert [alive() is None for alive in dropped] == [True] * 4 + [False]
+        finally:
+            gc.enable()
 
     def test_one_representer_keeps_nothing(self):
         table = table_from({"a": [1.0], "b": [2.0]})
@@ -513,12 +537,12 @@ class TestSharedEncoding:
         texts = [NormalizedText(("b", "a"))]
         representer = learned_representer(table, idf, model_of([1.0, 0.5]))
         representer.batch(texts)
-        assert _Encoding.of(table, idf).memo is None
+        assert _encoding(table, idf).memo is None
         # encode and the one-text driver neither fill nor need the memo
         baseline_representer(table, idf, "max")
         encode(texts, table, idf)
         representer(texts[0])
-        assert len(_Encoding.of(table, idf).memo) == 0
+        assert len(_encoding(table, idf).memo) == 0
 
 
 class TestTfidf:

@@ -381,11 +381,15 @@ class TestDataErrors:
         assert run("embed", "--emb", workdir / "vec.txt", "--df", df,
                    "--text", "t0w1") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        # The model is read before the df file, and the df file before
+        # the embedding file, which is never opened here.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
         assert run("eval", "--pairs", workdir / "test.tsv",
-                   "--val", workdir / "val.tsv", "--emb", workdir / "vec.txt",
-                   "--df", df, "--model", tmp_path / "absent.json",
+                   "--val", workdir / "val.tsv", "--emb", tmp_path / "absent",
+                   "--df", df, "--model", model_path,
                    "--report", tmp_path / "r.json") == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_model_of_other_normalization_version(self, workdir, tmp_path,
                                                   capsys):
@@ -520,6 +524,71 @@ class TestDataErrors:
                    "--out", tmp_path / "m.json") == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag, command", [
+        ("--emb", "embed"), ("--df", "embed"), ("--pairs", "eval"),
+        ("--val", "eval"), ("--model", "eval"), ("--corpus", "idf-build"),
+        ("--tweets", "pairs-tweets")])
+    def test_undecodable_file_is_named(self, workdir, tmp_path, capsys, flag,
+                                       command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n_max": 2, "weights": [1.0, 0.5]}))
+        corpus, tweets = tmp_path / "corpus.txt", tmp_path / "tweets.jsonl"
+        corpus.write_text("the cat sat\nthe dog ran\n")
+        tweets.write_text(storm_and_quake_tweets())
+        files = {"--emb": workdir / "vec.txt", "--df": workdir / "df.tsv",
+                 "--pairs": workdir / "test.tsv", "--val": workdir / "val.tsv",
+                 "--model": model, "--corpus": corpus, "--tweets": tweets}
+        good = files[flag].read_bytes()
+        bad = files[flag] = tmp_path / "bad.in"
+        bad.write_bytes(good[:9] + b"\xff" + good[9:])
+        out = tmp_path / "out"
+        flags = {
+            "embed": ("--emb", "--df", "--text", "t0w1"),
+            "eval": ("--pairs", "--val", "--emb", "--df", "--model",
+                     "--report", out),
+            "idf-build": ("--corpus", "--out", out),
+            "pairs-tweets": ("--tweets", "--out", out, "--count", 1),
+        }[command]
+        argv = [command]
+        for item in flags:
+            argv += [item, files[item]] if item in files else [item]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {bad}: not valid UTF-8 (invalid start byte)\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("train", "--pairs", "pair text is not normalized, line 1"),
+        ("grid-kappa", "--pairs", "pair text is not normalized, line 1"),
+        ("eval", "--val", "pair text is not normalized, line 1"),
+        ("baseline-eval", "--val", "pair text is not normalized, line 1"),
+        ("embed", "--model", "model file must hold a JSON object"),
+    ], ids=["train", "grid-kappa", "eval", "baseline-eval", "embed"])
+    def test_small_inputs_are_read_before_the_embedding_file(
+            self, workdir, tmp_path, capsys, command, flag, message):
+        bad_emb, bad_pairs = tmp_path / "emb.txt", tmp_path / "pairs.tsv"
+        bad_emb.write_text("not a header\n")
+        bad_pairs.write_text("1\tThe Cat\tx\n")
+        model = tmp_path / "model.json"
+        model.write_text("[]" if flag == "--model" else json.dumps(
+            {"n_max": 2, "weights": [1.0, 0.5]}))
+        common = ("--emb", bad_emb, "--df", workdir / "df.tsv")
+        out = tmp_path / "out"
+        argv = {
+            "train": ("--pairs", bad_pairs, "--out", out),
+            "grid-kappa": ("--pairs", bad_pairs, "--out", out),
+            "eval": ("--pairs", workdir / "test.tsv", "--val", bad_pairs,
+                     "--model", model, "--report", out),
+            "baseline-eval": ("--pairs", workdir / "test.tsv",
+                              "--val", bad_pairs, "--method", "mean",
+                              "--report", out),
+            "embed": ("--model", model, "--text", "t0w1"),
+        }[command]
+        assert run(command, *common, *argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_nmax_below_one(self, workdir, tmp_path, capsys):
         common = ("--pairs", workdir / "train.tsv", "--emb",

@@ -259,6 +259,13 @@ class TestLookup:
         table = make_table("1 2\ncat 1 2\n")
         assert table.row_ids([""]) == []
 
+    def test_tables_compare_and_hash_by_identity(self):
+        table = make_table("2 2\ncat 1 2\ndog 3 4\n")
+        twin = make_table("2 2\ncat 1 2\ndog 3 4\n")
+        assert (table == twin) is False and table != twin
+        assert (table == table) is True
+        assert {table: "table", twin: "twin"}[table] == "table"
+
     def test_one_row_per_token(self):
         with pytest.raises(ValueError, match=r"expected a \(2, dim\) matrix"):
             embeddings.EmbeddingTable(rows={"a": 0, "b": 1},
