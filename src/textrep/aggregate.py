@@ -64,6 +64,16 @@ class WeightModel:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
+    def check_normalization(self) -> None:
+        """Refuse a model trained on text normalized otherwise than
+        ``textprep.normalize`` does it now."""
+        if self.normalization_version != NORMALIZATION_VERSION:
+            raise ValueError(
+                f"model was trained on normalization "
+                f"{self.normalization_version!r}, but this textrep "
+                f"normalizes text as {NORMALIZATION_VERSION!r}"
+            )
+
     def to_json(self) -> str:
         doc = {
             "n_max": self.n_max,
@@ -385,12 +395,7 @@ def learned_representer(
     The model must have been trained on text normalized the way
     ``textprep.normalize`` does it now.  Its weights are read once, here.
     """
-    if model.normalization_version != NORMALIZATION_VERSION:
-        raise ValueError(
-            f"model was trained on normalization "
-            f"{model.normalization_version!r}, but this textrep normalizes "
-            f"text as {NORMALIZATION_VERSION!r}"
-        )
+    model.check_normalization()
     zs = rank_weights(model)
     vectors = table.vectors
 

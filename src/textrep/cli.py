@@ -67,6 +67,19 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb():
+    """This process's peak resident set size so far in MB, or None where
+    the platform has no ``resource`` module.  ``resource`` is imported
+    here, so that a launch that writes no manifest does not load it."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere.
+    return round(peak / (1 << (20 if sys.platform == "darwin" else 10)), 1)
+
+
 def _write_manifest(out_path, args: argparse.Namespace, inputs: list,
                     started: float) -> None:
     manifest = {
@@ -75,6 +88,7 @@ def _write_manifest(out_path, args: argparse.Namespace, inputs: list,
             k: v for k, v in sorted(vars(args).items()) if k != "func"
         },
         "input_digests": {str(p): _digest(p) for p in inputs},
+        "peak_rss_mb": _peak_rss_mb(),
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "wall_seconds": round(time.monotonic() - started, 3),
@@ -84,17 +98,19 @@ def _write_manifest(out_path, args: argparse.Namespace, inputs: list,
 
 
 def _read(path, load):
-    """``load(fh)`` over the text file at ``path``.  Bytes that are not
-    UTF-8 are a data error that names the file."""
+    """``load(fh)`` over the text file at ``path``.  Every data error it
+    raises, bytes that are not UTF-8 included, names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load(fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_idf(args):
-    return compute_idf(*_read(args.df, load_doc_freq))
+    return _read(args.df, lambda fh: compute_idf(*load_doc_freq(fh)))
 
 
 def _load_tables(args):
@@ -108,9 +124,16 @@ def _load_tables(args):
 
 
 def _load_model(path):
+    """The model at ``path``, refused here, before the embedding file is
+    read, if it was trained on another normalization."""
     from .aggregate import WeightModel
 
-    return _read(path, lambda fh: WeightModel.from_json(fh.read()))
+    def load(fh):
+        model = WeightModel.from_json(fh.read())
+        model.check_normalization()
+        return model
+
+    return _read(path, load)
 
 
 def cmd_idf_build(args):

@@ -22,6 +22,19 @@ NON_INFORMATIVE_TAGS = frozenset({"breaking", "update", "news"})
 MAX_ATTEMPT_FACTOR = 1000  # sampling attempts per requested pair
 
 
+def _token_sharer():
+    """A function that turns a token sequence into a tuple in which equal
+    tokens are one ``str`` object.
+
+    A pair file, corpus or tweet set repeats a small vocabulary many
+    times, so storing each distinct token once saves most of the memory
+    its loaded texts take.  The token cache belongs to the returned
+    function and is freed with it.
+    """
+    intern = {}.setdefault
+    return lambda tokens: tuple(map(intern, tokens, tokens))
+
+
 class PairGenerationError(ValueError):
     """The corpus cannot yield the requested number of qualifying pairs."""
 
@@ -160,7 +173,8 @@ def tweet_pairs(
     shared by both tweets are removed from the emitted token sequences.
     """
     rng = random.Random(seed)
-    tokens = [normalize(record.text).tokens for record in tweets]
+    share = _token_sharer()
+    tokens = [share(normalize(record.text).tokens) for record in tweets]
     # Words exclude every hashtag; mentions and URLs are already dropped
     # by normalize.  Tags exclude the non-informative ones.
     words = [tuple(t for t in toks if t not in record.hashtags)
@@ -243,10 +257,12 @@ def load_tweets(source: IO[str]) -> list[TweetRecord]:
 def load_articles(source: IO[str]) -> list[list[tuple[str, ...]]]:
     """Plain-text corpus: one paragraph per line, blank line between articles.
 
-    Returns each article's list of paragraphs, normalized here.
+    Returns each article's list of paragraphs, normalized here; equal
+    tokens are one shared string.
     """
+    share = _token_sharer()
     runs = itertools.groupby(source, key=lambda line: bool(line.strip()))
-    return [[normalize(line).tokens for line in lines]
+    return [[share(normalize(line).tokens) for line in lines]
             for filled, lines in runs if filled]
 
 
@@ -262,7 +278,9 @@ def save_pairs(pairs: Iterable[TextPair], sink: IO[str]) -> None:
 
 def load_pairs(source: IO[str]) -> list[TextPair]:
     """Read a pair TSV as save_pairs writes it; text that normalize() would
-    not emit (uppercase, punctuation, symbols) is a data error."""
+    not emit (uppercase, punctuation, symbols) is a data error.  Equal
+    tokens are one shared string."""
+    share = _token_sharer()
     pairs = []
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
@@ -280,8 +298,8 @@ def load_pairs(source: IO[str]) -> list[TextPair]:
         label = +1 if fields[0] == "1" else -1
         pairs.append(
             TextPair(
-                NormalizedText(tuple(fields[1].split())),
-                NormalizedText(tuple(fields[2].split())),
+                NormalizedText(share(fields[1].split())),
+                NormalizedText(share(fields[2].split())),
                 label,
             )
         )

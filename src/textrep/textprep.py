@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 import unicodedata
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping
@@ -75,10 +76,20 @@ def normalize(raw: str) -> NormalizedText:
     return NormalizedText(tokens=tuple(text.split()))
 
 
+# The ASCII characters that normalize() never emits: the uppercase
+# letters and the punctuation and symbol characters, which in ASCII are
+# exactly string.punctuation.
+_ASCII_NOT_NORMALIZED = (string.ascii_uppercase + string.punctuation).encode()
+
+
 def may_be_normalized(line: str) -> bool:
     """Whether ``line`` is lowercase and free of punctuation and symbols,
-    as normalize() output is, checked in two C-level string passes.
-    (normalize() is not idempotent, "a00b" -> "a0b", so it is no test.)"""
+    as normalize() output is: one C-level byte translation for an ASCII
+    line, two C-level string passes for any other.  (normalize() is not
+    idempotent, "a00b" -> "a0b", so it is no test.)"""
+    if line.isascii():
+        return len(line.encode().translate(
+            None, _ASCII_NOT_NORMALIZED)) == len(line)
     return (line == line.lower()
             and len(line.translate(_DROP_PUNCTUATION)) == len(line))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import textrep
 from textrep.aggregate import tfidf_cosine_distance, tfidf_vector
@@ -36,6 +36,15 @@ from synth import (
     make_pairs,
     save_embeddings,
     split_pairs,
+)
+from generated import (
+    DF_FILES,
+    EMBEDDING_FILES,
+    MODEL_FILES,
+    PAIR_FILES,
+    TWEET_FILES,
+    generated,
+    storm_and_quake_tweets,
 )
 
 
@@ -82,6 +91,23 @@ class TestIdfBuild:
         manifest = json.loads((tmp_path / "df.tsv.manifest.json").read_text())
         assert manifest["seed"] is None
 
+    def test_manifest_records_peak_rss(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat\n")
+        out = tmp_path / "df.tsv"
+        manifest = tmp_path / "df.tsv.manifest.json"
+        assert run("idf-build", "--corpus", corpus, "--out", out) == 0
+        import resource
+
+        # ru_maxrss only grows; the manifest rounds it to 0.1 MB.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_mb = peak / (1 << (20 if sys.platform == "darwin" else 10))
+        recorded = json.loads(manifest.read_text())["peak_rss_mb"]
+        assert 0 < recorded <= peak_mb + 0.05
+        monkeypatch.setitem(sys.modules, "resource", None)  # no such module
+        assert run("idf-build", "--corpus", corpus, "--out", out) == 0
+        assert json.loads(manifest.read_text())["peak_rss_mb"] is None
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert run("idf-build", "--corpus", tmp_path / "nope.txt",
                    "--out", tmp_path / "o.tsv") == 2
@@ -111,20 +137,6 @@ class TestPairsWiki:
         assert len(lines) == 10
         labels = [line.split("\t")[0] for line in lines]
         assert labels.count("1") == labels.count("0") == 5
-
-
-def storm_and_quake_tweets() -> str:
-    """Tweet JSONL in which four related and four non-related pairs
-    qualify: six tweets per hashtag, a minute apart, no shared words."""
-    rows = []
-    for i, tag_i in enumerate("abcdef"):
-        for tag, prefix in (("storm", "s"), ("quake", "q")):
-            text = " ".join(f"{prefix}{tag_i}{c}" for c in "vwxyz")
-            rows.append(json.dumps({
-                "text": f"{text} #{tag}", "hashtags": [tag],
-                "timestamp": i * 60, "author": "n",
-            }))
-    return "\n".join(rows) + "\n"
 
 
 def nested_model() -> str:
@@ -380,7 +392,7 @@ class TestDataErrors:
         df.write_text(content)
         assert run("embed", "--emb", workdir / "vec.txt", "--df", df,
                    "--text", "t0w1") == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {df}: {message}\n"
         # The model is read before the df file, and the df file before
         # the embedding file, which is never opened here.
         model_path = tmp_path / "model.json"
@@ -389,7 +401,7 @@ class TestDataErrors:
                    "--val", workdir / "val.tsv", "--emb", tmp_path / "absent",
                    "--df", df, "--model", model_path,
                    "--report", tmp_path / "r.json") == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {df}: {message}\n"
 
     def test_model_of_other_normalization_version(self, workdir, tmp_path,
                                                   capsys):
@@ -409,6 +421,26 @@ class TestDataErrors:
         assert "'v999'" in err and "'v1'" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_model_version_is_checked_before_the_embedding_file(
+            self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_max": 2, "weights": [1.0, 0.5],
+            "normalization_version": "v999"}))
+        bad_emb = tmp_path / "emb.txt"
+        bad_emb.write_text("not a header\n")
+        message = (f"error: {model_path}: model was trained on normalization "
+                   f"'v999', but this textrep normalizes text as 'v1'\n")
+        common = ("--emb", bad_emb, "--df", workdir / "df.tsv",
+                  "--model", model_path)
+        assert run("embed", *common, "--text", "t0w1 s3") == 2
+        assert capsys.readouterr().err == message
+        assert run("eval", *common, "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv",
+                   "--report", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("metric", ["cosine", "manhattan"])
     def test_model_of_non_euclidean_metric(self, workdir, tmp_path, capsys,
                                            metric):
@@ -417,7 +449,8 @@ class TestDataErrors:
             "n_max": 2, "weights": [1.0, 0.5], "metric": metric,
             "normalization_version": "v1", "metadata": {},
         }))
-        message = f"error: model metric must be 'euclidean', got '{metric}'\n"
+        message = (f"error: {model_path}: model metric must be "
+                   f"'euclidean', got '{metric}'\n")
         common = ("--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
                   "--model", model_path)
         assert run("embed", *common, "--text", "t0w1 s3") == 2
@@ -445,8 +478,8 @@ class TestDataErrors:
             "non_number_weights", "list_metadata"])
     def test_malformed_model_file(self, workdir, tmp_path, capsys, doc,
                                   message):
-        message = f"error: model file {message}\n"
         model_path = tmp_path / "model.json"
+        message = f"error: {model_path}: model file {message}\n"
         model_path.write_text(json.dumps(doc))
         common = ("--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
                   "--model", model_path)
@@ -465,7 +498,7 @@ class TestDataErrors:
                    "--df", workdir / "df.tsv", "--model", model_path,
                    "--text", "t0w1 s3") == 2
         assert capsys.readouterr().err == (
-            "error: model file nests its JSON too deeply\n")
+            f"error: {model_path}: model file nests its JSON too deeply\n")
 
     def test_deeply_nested_tweet_record(self, tmp_path, capsys):
         tweets = tmp_path / "tweets.jsonl"
@@ -476,7 +509,8 @@ class TestDataErrors:
                    "--out", tmp_path / "p.tsv", "--count", 1) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: malformed tweet record, line 2: ")
+        assert err[0].startswith(
+            f"error: {tweets}: malformed tweet record, line 2: ")
         assert not (tmp_path / "p.tsv").exists()
 
     def test_model_without_metric_is_euclidean(self, workdir, tmp_path,
@@ -587,7 +621,8 @@ class TestDataErrors:
             "embed": ("--model", model, "--text", "t0w1"),
         }[command]
         assert run(command, *common, *argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        bad = model if flag == "--model" else bad_pairs
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
         assert not out.exists()
 
     def test_nmax_below_one(self, workdir, tmp_path, capsys):
@@ -706,103 +741,6 @@ class TestFlagRanges:
         self.check_rejected(tmp_path, capsys, argv, message)
 
 
-# Pieces of generated df and pair files: the formats' delimiters, field
-# text, and what int() takes but the formats do not ("_", signs, spaces,
-# a non-ASCII digit).
-PIECES = ["\t", "\n", "\n\n", " ", "+", "-", "_", "0", "1", "5", "10",
-          "\u0663", "N", "t0w1", "s1", "t1w2", "zz", "A", "#"]
-WORDS = st.lists(st.sampled_from(["t0w1", "t0w2", "s1", "t1w2", "zz"]),
-                 min_size=1, max_size=4).map(" ".join)
-
-
-def generated(well_formed):
-    """A well-formed file, noise from PIECES, or the file with noise after."""
-    noise = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
-    return st.one_of(well_formed, noise,
-                     st.tuples(well_formed, noise).map("".join))
-
-
-# df counts: mostly integers, sometimes what int() takes but the df
-# format does not, or a near miss.
-COUNTS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(
-    ["+3", "-1", "1_0", " 5", "5 ", "\u0663", "x", ""]))
-DF_FILES = generated(st.builds(
-    lambda n, rows: f"N\t{n}\n" + "".join(f"{t}\t{c}\n" for t, c in rows),
-    st.one_of(st.just("1000"), COUNTS),
-    st.dictionaries(st.sampled_from(["t0w1", "s1", "t1w2"]),
-                    COUNTS).map(dict.items)))
-PAIR_FILES = generated(st.lists(
-    st.tuples(st.sampled_from("01"), WORDS, WORDS).map("\t".join),
-    min_size=1, max_size=8).map(lambda rows: "\n".join(rows) + "\n"))
-
-# Tweet records with enough words, shared tags and close timestamps that
-# pairs often qualify; a spoiler gives one record's field another JSON
-# type, or deletes it.
-TWEET_RECORDS = st.lists(st.fixed_dictionaries({
-    "text": st.lists(st.sampled_from(
-        [f"w{i}" for i in range(20)] + ["#storm", "@ann", "http://t.co", "12"]),
-        min_size=7, max_size=10).map(" ".join),
-    "hashtags": st.lists(st.sampled_from(["storm", "#Storm", "quake", "news"]),
-                         min_size=1, max_size=2),
-    "timestamp": st.integers(0, 1800),
-}), min_size=2, max_size=10)
-DELETED = object()
-SPOILERS = st.tuples(
-    st.integers(0, 9), st.sampled_from(["text", "hashtags", "timestamp"]),
-    st.one_of(st.just(DELETED), st.none(), st.booleans(), st.floats(),
-              st.just("900"), st.lists(st.integers(), max_size=2)))
-
-
-def tweet_file(records, spoiler):
-    if spoiler is not None:
-        index, key, value = spoiler
-        record = records[index % len(records)]
-        if value is DELETED:
-            del record[key]
-        else:
-            record[key] = value
-    return "".join(json.dumps(record) + "\n" for record in records)
-
-
-TWEET_FILES = generated(st.builds(tweet_file, TWEET_RECORDS,
-                                  st.one_of(st.none(), SPOILERS)))
-
-
-# Model documents: n_max and a weight list of that length, then perhaps
-# one field given another JSON value, or deleted.  Weights span the float
-# range, non-finite values and integers beyond it included.
-WEIGHT_VALUES = st.one_of(st.floats(), st.integers(-2, 2),
-                          st.just(10**400), st.booleans(), st.just("1.5"))
-MODEL_DOCS = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
-    {"n_max": st.just(n),
-     "weights": st.lists(st.floats(-10, 10), min_size=n, max_size=n)},
-    optional={"metric": st.just("euclidean"),
-              "normalization_version": st.just("v1"),
-              "metadata": st.just({"loss": "median"})}))
-JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 5), st.floats(),
-    st.sampled_from(["euclidean", "cosine", "v1", "v0", "2"]),
-    st.lists(WEIGHT_VALUES, max_size=5), st.just({}))
-MODEL_SPOILERS = st.tuples(
-    st.sampled_from(["n_max", "weights", "metric", "normalization_version",
-                     "metadata"]),
-    st.one_of(st.just(DELETED), JSON_VALUES))
-
-
-def model_file(doc, spoiler):
-    if spoiler is not None:
-        key, value = spoiler
-        if value is DELETED:
-            doc.pop(key, None)
-        else:
-            doc[key] = value
-    return json.dumps(doc)
-
-
-MODEL_FILES = st.builds(model_file, MODEL_DOCS,
-                        st.one_of(st.none(), MODEL_SPOILERS))
-
-
 def well_formed_model(doc) -> bool:
     """Whether a model document holds what the README's model contract
     asks for."""
@@ -818,8 +756,8 @@ def well_formed_model(doc) -> bool:
 
 
 class TestGeneratedInputs:
-    """Generated df, pair, tweet and model files through dispatch: exit 0,
-    or exit 2 with one error line; never an exception."""
+    """Generated df, pair, tweet, model and embedding files through
+    dispatch: exit 0, or exit 2 with one error line; never an exception."""
 
     @pytest.fixture(scope="class")
     def gendir(self, tmp_path_factory):
@@ -890,6 +828,19 @@ class TestGeneratedInputs:
             with open(out, encoding="utf-8") as fh:
                 labels = sorted(pair.label for pair in load_pairs(fh))
             assert labels == [-1, -1, 1, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=EMBEDDING_FILES)
+    def test_embedding_file(self, workdir, gendir, data):
+        emb = gendir / "emb.txt"
+        emb.write_bytes(data)
+        code, out = self.outcome(("embed", "--emb", emb,
+                                  "--df", workdir / "df.tsv",
+                                  "--text", "ab cd"))
+        if code == 0:  # UTF-8 under a header of two ASCII integers
+            header = data.decode("utf-8").split("\n", 1)[0]
+            assert re.fullmatch(r"[+-]?[0-9]+ [0-9]+", header)
+            assert all(map(math.isfinite, map(float, out.split(","))))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

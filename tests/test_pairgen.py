@@ -1,8 +1,10 @@
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textrep import pairgen
 from textrep.pairgen import (
@@ -18,6 +20,13 @@ from textrep.pairgen import (
     wiki_pairs,
 )
 from textrep.textprep import NormalizedText, normalize
+
+from generated import (
+    CORPUS_FILES,
+    PAIR_FILES,
+    TWEET_FILES,
+    storm_and_quake_tweets,
+)
 
 # Non-empty token tuples as normalize emits them, including the tokens of
 # digit runs next to punctuation ("a1.2b" -> "a00b"), which normalize
@@ -315,3 +324,101 @@ class TestPairIO:
                          (good, {**good, "timestamp": stamp})) + "\n"
         with pytest.raises(ValueError, match="line 2: .*timestamp an integer"):
             load_tweets(io.StringIO(text))
+
+
+def assert_one_string_per_token(texts):
+    """Equal tokens across ``texts``, token tuples, are one object."""
+    first = {}
+    for tokens in texts:
+        for token in tokens:
+            assert first.setdefault(token, token) is token, token
+
+
+def pair_texts(pairs):
+    return [text.tokens for pair in pairs
+            for text in (pair.text_a, pair.text_b)]
+
+
+def plain_load_pairs(source):
+    """Pairs parsed with split() alone: no checks, no shared tokens."""
+    return [TextPair(NormalizedText(tuple(text_a.split())),
+                     NormalizedText(tuple(text_b.split())),
+                     +1 if label == "1" else -1)
+            for label, text_a, text_b in (line.rstrip("\n").split("\t")
+                                          for line in source if line.strip())]
+
+
+class TestSharedTokens:
+    """Each loader keeps one string per distinct token and loads the same
+    values as a plain parse."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=PAIR_FILES)
+    def test_load_pairs(self, text):
+        try:
+            pairs = load_pairs(io.StringIO(text))
+        except ValueError:
+            return
+        assert pairs == plain_load_pairs(io.StringIO(text))
+        assert_one_string_per_token(pair_texts(pairs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=CORPUS_FILES)
+    def test_load_articles(self, text):
+        plain, paragraphs = [], []
+        for line in io.StringIO(text):
+            if line.strip():
+                paragraphs.append(normalize(line).tokens)
+            elif paragraphs:
+                plain.append(paragraphs)
+                paragraphs = []
+        if paragraphs:
+            plain.append(paragraphs)
+        articles = load_articles(io.StringIO(text))
+        assert articles == plain
+        assert_one_string_per_token(
+            paragraph for article in articles for paragraph in article)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=TWEET_FILES)
+    @example(text=storm_and_quake_tweets())
+    @example(text="".join(  # each text one word five times
+        json.dumps({"text": f"{word} " * 5 + f"#{tag}", "hashtags": [tag],
+                    "timestamp": i}) + "\n"
+        for i, (word, tag) in enumerate([("alpha", "storm"), ("beta", "storm"),
+                                         ("gamma", "quake"),
+                                         ("delta", "quake")])))
+    def test_tweet_pairs(self, text):
+        try:
+            pairs = tweet_pairs(load_tweets(io.StringIO(text)), 1, seed=0)
+        except ValueError:
+            return
+        with pytest.MonkeyPatch.context() as patch:  # a plain normalize()
+            patch.setattr(pairgen, "_token_sharer", lambda: tuple)
+            plain = tweet_pairs(load_tweets(io.StringIO(text)), 1, seed=0)
+        assert pairs == plain
+        assert_one_string_per_token(pair_texts(pairs))
+
+    def test_loaded_pairs_take_less_than_half_the_memory(self):
+        rng = random.Random(0)
+        vocabulary = [f"word{i}" for i in range(50)]
+        text = "".join(
+            f"{i % 2}\t{' '.join(rng.choices(vocabulary, k=30))}"
+            f"\t{' '.join(rng.choices(vocabulary, k=30))}\n"
+            for i in range(2000))
+
+        def allocated(load):
+            """Bytes still allocated once ``load`` has read the pairs."""
+            source = io.StringIO(text)
+            tracemalloc.start()
+            try:
+                pairs = load(source)
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(pairs) == 2000
+            return size
+
+        assert load_pairs(io.StringIO(text)) == plain_load_pairs(
+            io.StringIO(text))
+        assert allocated(load_pairs) < allocated(plain_load_pairs) / 2

@@ -8,6 +8,7 @@ from textrep.embeddings import compute_idf
 from textrep.textprep import (
     NORMALIZATION_VERSION,
     NormalizedText,
+    may_be_normalized,
     normalize,
     sort_by_idf,
 )
@@ -51,6 +52,26 @@ crafted_texts = st.lists(
               st.sampled_from(SEPARATORS)),
     max_size=12,
 ).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+def two_pass_check(line):
+    """may_be_normalized's definition: lowercase, and no character of a
+    P* or S* Unicode category."""
+    return line == line.lower() and all(
+        unicodedata.category(ch)[0] not in "PS" for ch in line)
+
+
+class TestMayBeNormalized:
+    def test_every_ascii_character(self):
+        for code in range(128):
+            for line in (chr(code), f"1\tab {chr(code)}cd\tef\n"):
+                assert may_be_normalized(line) == two_pass_check(line), line
+
+    @given(line=st.text(st.characters(max_codepoint=127)) | st.text(
+        st.sampled_from("ab0 \t\r\n_`~#A\u00e9\u00c9\u0130\u2014\u3000")
+        | st.characters()))
+    def test_matches_the_two_pass_definition(self, line):
+        assert may_be_normalized(line) == two_pass_check(line)
 
 
 class TestNormalize:
