@@ -215,9 +215,10 @@ def encode(
 ) -> list[list[int]]:
     """Each text's in-vocabulary row ids, in descending idf order.
 
-    The sort is stable, so equal idf keeps text order: a text's ids equal
-    ``table.row_ids(sort_by_idf(text, idf).tokens)``.  The memo of the
-    pair's representers is neither read nor filled.
+    Out-of-vocabulary tokens are dropped, and the sort is stable, so
+    equal idf keeps text order: a text's ids are the rows of
+    ``sort_by_idf(text, idf).tokens`` that the table holds.  The memo of
+    the pair's representers is neither read nor filled.
     """
     return list(map(_encoding(table, idf).encode_text, texts))
 
@@ -229,10 +230,11 @@ def _represent_blocks(
 
     A method's spec is (width, length, kernel): its vectors have
     ``width`` values, a text with m ids keeps its k = length(m)
-    highest-idf rows, and kernel(ids, k) maps the (k,) ids of one text to
-    its vector, or a (k, texts) id matrix to the texts' vectors
-    (flattened or one row per text).  Texts are grouped by k and gathered
-    at most GATHER_ROWS ids per block, after the output is allocated.
+    highest-idf rows, and kernel(ids, k, out) maps the k ids of one text
+    to its vector, written into ``out``, or a (k, texts) id matrix to the
+    texts' vectors (flattened or one row per text) when ``out`` is None.
+    Texts are grouped by k and gathered at most GATHER_ROWS ids per
+    block, after the output is allocated.
     Texts without an in-vocabulary token get a zero row and a False in
     the mask.
     """
@@ -247,7 +249,7 @@ def _represent_blocks(
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             ids = np.array([encoded[i][:k] for i in chunk]).T
-            vectors[chunk] = kernel(ids, k).reshape(len(chunk), width)
+            vectors[chunk] = kernel(ids, k, None).reshape(len(chunk), width)
     return vectors, np.array([len(ids) > 0 for ids in encoded], dtype=bool)
 
 
@@ -358,9 +360,10 @@ def _representer(
     The one-text driver runs the kernel on one text's k ids, with no
     grouping, output matrix, mask or memo.  It allocates the vector
     before the kernel's temporaries, as the batch driver allocates its
-    output.  Vectors that a caller keeps then pack together instead of
-    between freed gathers: returning the kernel's own block raised peak
-    RSS by 8-12 MB in a process that kept 6000 dim-300 vectors.
+    output, and the kernel writes into it.  Vectors that a caller keeps
+    then pack together instead of between freed gathers: returning the
+    kernel's own block raised peak RSS by 8-12 MB in a process that kept
+    6000 dim-300 vectors.
     """
     # Texts are scored again where several methods share the pair; a
     # process that builds one representer, as each CLI command does,
@@ -378,7 +381,7 @@ def _representer(
                 f"unrepresentable text: {list(text.tokens)!r}")
         k = length(len(ids))
         vector = np.empty(width)
-        vector[:] = kernel(ids[:k], k)
+        kernel(ids[:k], k, vector)
         return vector
 
     return Representer(
@@ -399,8 +402,9 @@ def learned_representer(
     zs = rank_weights(model)
     vectors = table.vectors
 
-    def kernel(ids, k: int) -> np.ndarray:
-        block = zs[k - 1] @ vectors[ids].reshape(k, -1)  # texts * dim values
+    def kernel(ids, k: int, out) -> np.ndarray:
+        rows = vectors.take(ids, axis=0).reshape(k, -1)  # texts * dim values
+        block = np.matmul(zs[k - 1], rows, out=out)
         block /= k
         return block
 
@@ -421,16 +425,19 @@ def baseline_representer(
     length = (lambda m: max(1, math.ceil(0.3 * m))) if top30 else (lambda m: m)
     if method == "idf_weighted_mean":
         row_idf = np.array(encoding.key)
-        spec = dim, length, lambda ids, k: np.einsum(
-            "k...,k...d->...d", row_idf[ids], vectors[ids]) / k
+        spec = dim, length, lambda ids, k, out: np.divide(np.einsum(
+            "k...,k...d->...d", row_idf.take(ids), vectors.take(ids, axis=0),
+            out=out), k, out=out)
     elif method.startswith("minmax"):
-        def minmax(ids, k: int) -> np.ndarray:
-            rows = vectors[ids]
-            return np.concatenate((rows.min(axis=0), rows.max(axis=0)), axis=-1)
+        def minmax(ids, k: int, out) -> np.ndarray:
+            rows = vectors.take(ids, axis=0)
+            return np.concatenate((rows.min(axis=0), rows.max(axis=0)),
+                                  axis=-1, out=out)
         spec = 2 * dim, length, minmax
     else:
         reduce = getattr(np.ndarray, method.removesuffix("_top30"))  # mean/max/min
-        spec = dim, length, lambda ids, k: reduce(vectors[ids], axis=0)
+        spec = dim, length, lambda ids, k, out: reduce(
+            vectors.take(ids, axis=0), axis=0, out=out)
     return _representer(
         encoding, spec,
         lambda encoded: represent_baseline(encoded, table, spec, method))

@@ -140,7 +140,7 @@ def cmd_idf_build(args):
     doc_freq, n_docs = _read(args.corpus, lambda fh: count_doc_freq(
         normalize(line).tokens for line in fh if line.strip()))
     if n_docs == 0:
-        raise ValueError("corpus contains no documents")
+        raise ValueError(f"{args.corpus}: corpus contains no documents")
     with open(args.out, "w", encoding="utf-8") as fh:
         save_doc_freq(doc_freq, n_docs, fh)
     return (args.out, [args.corpus],
@@ -151,8 +151,9 @@ def cmd_idf_build(args):
 def cmd_pairs_wiki(args):
     check_lengths(args.nmin, args.nmax)
     check_count(args.count)
-    articles = _read(args.corpus, load_articles)
-    pairs = wiki_pairs(articles, args.nmin, args.nmax, args.count, args.seed)
+    # Generated inside _read, so that a PairGenerationError names the file.
+    pairs = _read(args.corpus, lambda fh: wiki_pairs(
+        load_articles(fh), args.nmin, args.nmax, args.count, args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
     return args.out, [args.corpus], f"wrote {len(pairs)} pairs to {args.out}"
@@ -160,8 +161,8 @@ def cmd_pairs_wiki(args):
 
 def cmd_pairs_tweets(args):
     check_count(args.count)
-    tweets = _read(args.tweets, load_tweets)
-    pairs = tweet_pairs(tweets, args.count, args.seed)
+    pairs = _read(args.tweets, lambda fh: tweet_pairs(
+        load_tweets(fh), args.count, args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         save_pairs(pairs, fh)
     return args.out, [args.tweets], f"wrote {len(pairs)} pairs to {args.out}"

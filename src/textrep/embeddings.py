@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -54,11 +54,6 @@ class EmbeddingTable:
     @property
     def vocabulary_size(self) -> int:
         return len(self.rows)
-
-    def row_ids(self, tokens: Iterable[str]) -> list[int]:
-        """Rows of the in-vocabulary tokens, in order; OOV tokens are dropped."""
-        get = self.rows.get
-        return [i for i in map(get, tokens) if i is not None]
 
 
 # Lines parsed per np.loadtxt call: large enough to amortize the call,

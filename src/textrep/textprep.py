@@ -48,6 +48,8 @@ class _PunctuationTable(dict):
 
 
 _DROP_PUNCTUATION = _PunctuationTable()
+# The P* and S* characters of ASCII are exactly string.punctuation.
+_ASCII_PUNCTUATION = string.punctuation.encode()
 
 
 def _replace_digit_run(match: re.Match, text: str) -> str:
@@ -65,21 +67,31 @@ def normalize(raw: str) -> NormalizedText:
     URLs and @mentions are removed whole; "#" prefixes are stripped so
     hashtag words stay available for embedding lookup.
     """
-    kept = []
-    for piece in raw.split():
-        if _URL_OR_MENTION.match(piece):
-            continue
-        kept.append(piece.lstrip("#"))
-    text = " ".join(kept).lower()
+    text = raw.lower()
+    # Only a text holding "@", "www." or "http" has a piece to drop: under
+    # IGNORECASE no non-ASCII character matches h, t, p or w, and the only
+    # one matching s, "\u017f", comes after "http".  Any other text keeps
+    # its own whitespace, which split() treats alike, and its leading "#"s,
+    # which the punctuation strip deletes: "#" is neither a letter beside
+    # a digit run nor cased, nor case-ignorable beside a capital sigma.
+    if "@" in raw or "www." in text or "http" in text:
+        kept = []
+        for piece in raw.split():
+            if _URL_OR_MENTION.match(piece):
+                continue
+            kept.append(piece.lstrip("#"))
+        text = " ".join(kept).lower()
     text = _DIGIT_RUN.sub(lambda m: _replace_digit_run(m, text), text)
-    text = text.translate(_DROP_PUNCTUATION)
+    if text.isascii():
+        text = text.encode().translate(None, _ASCII_PUNCTUATION).decode()
+    else:
+        text = text.translate(_DROP_PUNCTUATION)
     return NormalizedText(tokens=tuple(text.split()))
 
 
 # The ASCII characters that normalize() never emits: the uppercase
-# letters and the punctuation and symbol characters, which in ASCII are
-# exactly string.punctuation.
-_ASCII_NOT_NORMALIZED = (string.ascii_uppercase + string.punctuation).encode()
+# letters and the punctuation and symbol characters.
+_ASCII_NOT_NORMALIZED = string.ascii_uppercase.encode() + _ASCII_PUNCTUATION
 
 
 def may_be_normalized(line: str) -> bool:

@@ -218,7 +218,8 @@ class TestBaselines:
 
 def reference_learned(text, table, idf, model):
     """One text's learned vector, computed the scalar way."""
-    ids = table.row_ids(sort_by_idf(text, idf).tokens)[: model.n_max]
+    ids = [table.rows[t] for t in sort_by_idf(text, idf).tokens
+           if t in table.rows][: model.n_max]
     if not ids:
         return None
     z = interpolation_matrix(len(ids), model.n_max) @ model.weights
@@ -234,7 +235,7 @@ def reference_baseline(text, table, idf, method):
         keep = max(1, math.ceil(0.3 * len(tokens)))
         ranked = sorted(range(len(tokens)), key=lambda i: -idf.idf_of(tokens[i]))
         tokens = [tokens[i] for i in sorted(ranked[:keep])]
-    matrix = table.vectors[table.row_ids(tokens)]
+    matrix = table.vectors[[table.rows[t] for t in tokens]]
     base = method.replace("_top30", "")
     if base == "mean":
         return matrix.mean(axis=0)
@@ -285,7 +286,9 @@ class TestEncode:
     def test_equals_sorted_row_ids(self, world):
         table, idf, _, texts = world
         assert encode(texts, table, idf) == [
-            table.row_ids(sort_by_idf(text, idf).tokens) for text in texts
+            [table.rows[t] for t in sort_by_idf(text, idf).tokens
+             if t in table.rows]
+            for text in texts
         ]
 
     @settings(max_examples=200, deadline=None)

@@ -112,6 +112,15 @@ class TestIdfBuild:
         assert run("idf-build", "--corpus", tmp_path / "nope.txt",
                    "--out", tmp_path / "o.tsv") == 2
 
+    def test_corpus_without_documents_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n  \n\t\n")
+        assert run("idf-build", "--corpus", corpus,
+                   "--out", tmp_path / "o.tsv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: corpus contains no documents\n")
+        assert not (tmp_path / "o.tsv").exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, tmp_path):
@@ -138,6 +147,17 @@ class TestPairsWiki:
         labels = [line.split("\t")[0] for line in lines]
         assert labels.count("1") == labels.count("0") == 5
 
+    def test_generation_error_names_the_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c\n\nd e f\n")
+        out = tmp_path / "p.tsv"
+        assert run("pairs-wiki", "--corpus", corpus, "--out", out,
+                   "--count", 2, "--nmin", 10, "--nmax", 20) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: only 0 of 2 related pairs extractable; "
+            f"paragraphs are too short for the requested lengths\n")
+        assert not out.exists()
+
 
 def nested_model() -> str:
     """A model file whose metadata nests lists 5000 deep."""
@@ -153,6 +173,17 @@ class TestPairsTweets:
         assert run("pairs-tweets", "--tweets", tweets, "--out", out,
                    "--count", 4, "--seed", 1) == 0
         assert len(out.read_text().strip().split("\n")) == 8
+
+    def test_generation_error_names_the_tweet_file(self, tmp_path, capsys):
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text(json.dumps(
+            {"text": "a b #x", "hashtags": ["x"], "timestamp": 0}) + "\n")
+        out = tmp_path / "p.tsv"
+        assert run("pairs-tweets", "--tweets", tweets, "--out", out,
+                   "--count", 1) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tweets}: need at least two tweets\n")
+        assert not out.exists()
 
 
 class TestTrainEval:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textrep import embeddings
+from textrep.aggregate import encode
 from textrep.embeddings import (
     EmbeddingParseError,
     compute_idf,
@@ -16,7 +17,7 @@ from textrep.embeddings import (
     load_embeddings,
     save_doc_freq,
 )
-from textrep.textprep import normalize
+from textrep.textprep import NormalizedText, normalize
 
 from synth import save_embeddings
 
@@ -244,20 +245,27 @@ class TestBulkParse:
             make_table(f"2 2\na 1 2\nb 1 {value}\n")
 
 
+def row_ids(table, *tokens):
+    """The rows ``encode`` gives one text of ``tokens``, under an idf
+    that ties every token, so that text order is kept."""
+    text = NormalizedText(tokens)
+    return encode([text], table, compute_idf({}, 1))[0]
+
+
 class TestLookup:
     def test_identity(self):
         table = make_table("1 2\ncat 0.5 -1\n")
-        assert table.row_ids(["cat", "cat"]) == [0, 0]
+        assert row_ids(table, "cat", "cat") == [0, 0]
         np.testing.assert_array_equal(table.vectors[[0]], [[0.5, -1]])
 
     def test_no_case_folding(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert table.row_ids(["CAT"]) == []
-        assert table.row_ids(["CAT", "cat"]) == [0]
+        assert row_ids(table, "CAT") == []
+        assert row_ids(table, "CAT", "cat") == [0]
 
     def test_empty_token_absent(self):
         table = make_table("1 2\ncat 1 2\n")
-        assert table.row_ids([""]) == []
+        assert row_ids(table, "") == []
 
     def test_tables_compare_and_hash_by_identity(self):
         table = make_table("2 2\ncat 1 2\ndog 3 4\n")

@@ -1,4 +1,5 @@
 import re
+import string
 import unicodedata
 
 import numpy as np
@@ -39,12 +40,18 @@ def reference_normalize(raw):
 
 # Pieces that exercise every rule: URLs and mentions (any case), hashtags,
 # digit runs beside letters and punctuation, non-ASCII digits, letters
-# whose lowercase differs in length, and punctuation or symbols.
+# whose lowercase differs in length, and punctuation or symbols.  The
+# markers in mixed case or inside a piece, the long s that IGNORECASE
+# matches to "s", the Kelvin sign that lowercases to ASCII "k", and all of
+# ASCII's punctuation test which texts skip the URL and mention loop and
+# which take the ASCII punctuation strip.
 PIECES = [
     "http://a.io/x?y=1", "HTTPS://B.c", "www.x.org", "WWW.Y", "@user", "@",
     "#tag", "##Tag", "#", "#1", "12", "3.14", "a1.2b", "b2b", "1st", "x9",
     "...", "\u2014", "\u201cq\u201d", "!", "$5", "\u00fc", "\u0130", "\u00df",
     "\u03a3", "\u0663", "\u00b2", "\u00bd", "\U0001f600",
+    "http\u017f://a", "HtTp://x", "wWw.x", "x@y", "a#b", "#@m", "\u212a",
+    string.punctuation,
 ]
 SEPARATORS = ["", " ", "\t", "\n", "\u3000", "\xa0", "\x1c"]
 crafted_texts = st.lists(
