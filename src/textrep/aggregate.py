@@ -40,14 +40,16 @@ class WeightModel:
     ``weights`` is the model's own read-only copy, because a representer
     reads it once, when it is built.  ``metric`` is a class constant,
     "euclidean": the training loss is built on Euclidean distances, so the
-    weights are fit for no other metric.
+    weights are fit for no other metric.  ``normalization_version`` is one
+    too, ``textprep.normalize``'s: ``from_json`` refuses a model file of
+    any other.
     """
 
     n_max: int
     weights: np.ndarray
-    normalization_version: str = NORMALIZATION_VERSION
     metadata: dict = field(default_factory=dict)
     metric: ClassVar[str] = "euclidean"
+    normalization_version: ClassVar[str] = NORMALIZATION_VERSION
 
     def __post_init__(self):
         try:
@@ -63,16 +65,6 @@ class WeightModel:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-
-    def check_normalization(self) -> None:
-        """Refuse a model trained on text normalized otherwise than
-        ``textprep.normalize`` does it now."""
-        if self.normalization_version != NORMALIZATION_VERSION:
-            raise ValueError(
-                f"model was trained on normalization "
-                f"{self.normalization_version!r}, but this textrep "
-                f"normalizes text as {NORMALIZATION_VERSION!r}"
-            )
 
     def to_json(self) -> str:
         doc = {
@@ -101,12 +93,16 @@ class WeightModel:
                 raise ValueError(f"model file needs {key!r} as {name}")
         if not all(type(w) in (int, float) for w in doc["weights"]):
             raise ValueError("model file needs 'weights' as a list of numbers")
-        version = doc.get("normalization_version", "v1")
         model = cls(n_max=doc["n_max"], weights=doc["weights"],
-                    normalization_version=version, metadata=doc["metadata"])
+                    metadata=doc["metadata"])
         metric = doc.get("metric", cls.metric)
         if metric != cls.metric:
             raise ValueError(f"model metric must be 'euclidean', got {metric!r}")
+        version = doc.get("normalization_version", "v1")
+        if version != cls.normalization_version:
+            raise ValueError(
+                f"model was trained on normalization {version!r}, but this "
+                f"textrep normalizes text as {cls.normalization_version!r}")
         return model
 
 
@@ -305,15 +301,14 @@ def tfidf_cosine_distance(x: Mapping[str, float], y: Mapping[str, float]) -> flo
 
 
 def distance(x, y, metric: str):
-    """Euclidean or cosine distance between two representations, or
-    row-wise between two equally shaped stacks of vectors.
+    """Euclidean or cosine distance between two vectors, or row-wise
+    between two equally shaped stacks of vectors.
 
-    ``x`` and ``y`` are Representations or arrays whose last axis is the
-    vector; one pair gives a float, stacks give an array.  A zero vector
-    is at cosine distance 1 from every vector.
+    ``x`` and ``y`` are arrays whose last axis is the vector; one pair
+    gives a float, stacks give an array.  A zero vector is at cosine
+    distance 1 from every vector.
     """
-    xv = np.asarray(getattr(x, "vector", x))
-    yv = np.asarray(getattr(y, "vector", y))
+    xv, yv = np.asarray(x), np.asarray(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
     if metric == "euclidean":
@@ -393,12 +388,8 @@ def _representer(
 def learned_representer(
     table: EmbeddingTable, idf: IdfTable, model: WeightModel
 ) -> Representer:
-    """The learned model as a Representer.
-
-    The model must have been trained on text normalized the way
-    ``textprep.normalize`` does it now.  Its weights are read once, here.
-    """
-    model.check_normalization()
+    """The learned model as a Representer; its weights are read once,
+    here."""
     zs = rank_weights(model)
     vectors = table.vectors
 

@@ -123,17 +123,38 @@ def _load_tables(args):
     return _read(args.emb, load_embeddings), idf
 
 
-def _load_model(path):
-    """The model at ``path``, refused here, before the embedding file is
-    read, if it was trained on another normalization."""
-    from .aggregate import WeightModel
+def _check_method(args) -> None:
+    """Refuse --method with --model, and an embedding method without
+    --emb: usage errors, checked before anything else."""
+    method = getattr(args, "method", None)
+    if method and getattr(args, "model", None):
+        raise UsageError("--method cannot be combined with --model")
+    if args.emb is None and method != "tfidf":
+        raise UsageError("--emb is required unless --method is tfidf")
 
-    def load(fh):
-        model = WeightModel.from_json(fh.read())
-        model.check_normalization()
-        return model
 
-    return _read(path, load)
+def _method(args):
+    """(representer, metric, report name, input files) of the method that
+    --model or --method selects; embed's --method defaults to mean.  The
+    model is read first, then the df file, then the embedding file, which
+    tf-idf neither parses nor digests.  A model trained on another
+    normalization is refused as its file is read."""
+    from . import aggregate
+
+    if getattr(args, "model", None):
+        model = _read(args.model, lambda fh: aggregate.WeightModel.from_json(
+            fh.read()))
+        table, idf = _load_tables(args)
+        return (aggregate.learned_representer(table, idf, model), model.metric,
+                f"learned:{model.metadata.get('loss', 'unknown')}",
+                [args.model, args.emb, args.df])
+    if args.method == "tfidf":
+        return (aggregate.tfidf_representer(_load_idf(args)),
+                aggregate.tfidf_cosine_distance, "tfidf", [args.df])
+    method = args.method or "mean"
+    table, idf = _load_tables(args)
+    return (aggregate.baseline_representer(table, idf, method),
+            getattr(args, "metric", None), method, [args.emb, args.df])
 
 
 def cmd_idf_build(args):
@@ -219,7 +240,11 @@ def cmd_grid_kappa(args):
     from . import learn
 
     config = _train_config(args)
-    grid = [float(x) for x in args.grid.split(",")]
+    try:
+        grid = [float(x) for x in args.grid.split(",")]
+    except ValueError:
+        raise ValueError(f"--grid must be comma-separated numbers, got "
+                         f"{args.grid!r}") from None
     learn.kappa_configs(config, grid, args.folds)  # checked before any input
     pairs = _read(args.pairs, load_pairs)
     table, idf = _load_tables(args)
@@ -232,80 +257,40 @@ def cmd_grid_kappa(args):
     return args.out, [args.pairs, args.emb, args.df], f"kappa_best={best}"
 
 
-def _evaluate(args, pairs, inputs, representer, metric, method_name):
-    """Score the test split of ``pairs``, (test, validation), with theta
-    fitted on the validation split, write the report and the --hist CSV,
-    and return what dispatch needs for the manifest."""
+def cmd_eval(args):
+    """eval and baseline-eval: score the --pairs test split with theta
+    fitted on the --val split, and write the report and the --hist CSV."""
     from . import evaluate
 
-    test_pairs, val_pairs = pairs
+    _check_method(args)
+    evaluate.check_bins(args.bins)
+    test_pairs, val_pairs = (_read(args.pairs, load_pairs),
+                             _read(args.val, load_pairs))
+    representer, metric, name, inputs = _method(args)
     report = evaluate.evaluate_method(
-        test_pairs, representer, metric, method_name=method_name,
+        test_pairs, representer, metric, method_name=name,
         val_pairs=val_pairs, bins=args.bins)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.hist:
         with open(args.hist, "w", encoding="utf-8") as fh:
             report.write_histogram_csv(fh)
-    return args.report, inputs, report.summary()
-
-
-def cmd_eval(args):
-    from . import aggregate, evaluate
-
-    evaluate.check_bins(args.bins)
-    pairs = _read(args.pairs, load_pairs), _read(args.val, load_pairs)
-    model = _load_model(args.model)
-    table, idf = _load_tables(args)
-    return _evaluate(args, pairs,
-                     [args.pairs, args.val, args.model, args.emb, args.df],
-                     aggregate.learned_representer(table, idf, model),
-                     model.metric,
-                     f"learned:{model.metadata.get('loss', 'unknown')}")
-
-
-def cmd_baseline_eval(args):
-    if args.method != "tfidf" and args.emb is None:
-        raise UsageError("--emb is required unless --method is tfidf")
-    from . import aggregate, evaluate
-
-    evaluate.check_bins(args.bins)
-    pairs = _read(args.pairs, load_pairs), _read(args.val, load_pairs)
-    # tf-idf reads no embeddings, so --emb is neither parsed nor digested.
-    if args.method == "tfidf":
-        idf = _load_idf(args)
-        representer = aggregate.tfidf_representer(idf)
-        metric = aggregate.tfidf_cosine_distance
-        inputs = [args.pairs, args.val, args.df]
-    else:
-        table, idf = _load_tables(args)
-        representer = aggregate.baseline_representer(table, idf, args.method)
-        metric = args.metric
-        inputs = [args.pairs, args.val, args.emb, args.df]
-    return _evaluate(args, pairs, inputs, representer, metric, args.method)
+    return args.report, [args.pairs, args.val, *inputs], report.summary()
 
 
 def cmd_embed(args):
-    if args.model and args.method:
-        raise UsageError("--method cannot be combined with --model")
+    _check_method(args)
     import numpy as np
 
-    from . import aggregate
-
-    model = _load_model(args.model) if args.model else None
-    table, idf = _load_tables(args)
+    representer = _method(args)[0]
     text = normalize(args.text)
     # An overflow is the data error below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if model is not None:
-            rep = aggregate.learned_representer(table, idf, model)(text)
-        else:
-            rep = aggregate.baseline_representer(
-                table, idf, args.method or "mean")(text)
-    if not np.isfinite(rep.vector).all():
+        vector = representer.single(text)
+    if not np.isfinite(vector).all():
         raise ValueError("the representation overflows: it has non-finite "
                          "values")
-    print(",".join(f"{v:.10g}" for v in rep.vector))
+    print(",".join(f"{v:.10g}" for v in vector))
 
 
 def build_parser() -> _Parser:
@@ -356,7 +341,7 @@ def build_parser() -> _Parser:
             "--folds": defaulted(FOLDS, "cross-validation folds")}),
         ("eval", cmd_eval, "evaluate a trained model",
          {**scoring, "--model": need}),
-        ("baseline-eval", cmd_baseline_eval, "evaluate a fixed baseline", {
+        ("baseline-eval", cmd_eval, "evaluate a fixed baseline", {
             **scoring,  # with --emb optional: tf-idf reads no embeddings
             "--emb": dict(help="embedding file (not read by --method tfidf)"),
             "--method": dict(required=True,
@@ -392,7 +377,8 @@ def dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, OSError) as exc:  # data errors
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
+        # Data errors, and a run too large for this machine's memory.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,13 @@ Ten well-separated topic clusters in 20 dimensions plus 50 shared noisy
 "stopword" vectors centered on the mean of all clusters.  Texts mix 40%
 topic words with 60% stopwords, so idf rank correlates with informativeness
 by construction: topic words get low document frequency, stopwords high.
+The same world also writes a tweet stream (``make_tweets``) for the
+``pairs-tweets`` half of the pipeline.
 """
 
 from __future__ import annotations
 
+import json
 from typing import IO
 
 import numpy as np
@@ -121,3 +124,78 @@ def split_pairs(pairs, train_frac=0.5, val_frac=0.25, seed=11):
             else:
                 out["test"].append(pool[idx])
     return out["train"], out["val"], out["test"]
+
+
+# Tweet world: build_world's vectors under letter-only names, because
+# normalize maps every digit run to "0" ("t3w12" would become "t0w0").
+DIGIT_LETTERS = str.maketrans("0123456789", "abcdefghij")
+TOPIC_TAGS = [f"topic{chr(ord('a') + t)}" for t in range(N_TOPICS)]
+FILLER_TAGS = ["breaking", "news", "update"]  # pairgen's non-informative tags
+
+
+def letters_only(token: str) -> str:
+    """A world token with each digit spelled as a letter: t3w12 -> tdwbc."""
+    return token.translate(DIGIT_LETTERS)
+
+
+def tweet_world(seed=7):
+    """(table, doc freq) of build_world's vocabulary under letter-only
+    names; the vectors are build_world's."""
+    table = build_world(seed=seed)[0]
+    return (EmbeddingTable(rows={letters_only(t): row
+                                 for t, row in table.rows.items()},
+                           vectors=table.vectors),
+            {letters_only(t): df for t, df in DOC_FREQ.items()})
+
+
+def make_tweets(n_bursts=60, seed=7, world_seed=7):
+    """A seeded tweet stream, as the JSONL records ``load_tweets`` reads.
+
+    The stream is a run of bursts, 20-60 minutes apart, each of 4-12
+    tweets on one topic sent 30-150 s apart; every topic recurs, so
+    tweets of one topic are often more than 15 minutes apart.  A tweet
+    mixes topic words and stopwords as ``make_text`` does, tags its
+    topic's hashtag (written ``#TopicX`` in the text), and may add a
+    non-informative tag, a mention, a URL or punctuation.  One in ten has
+    under five words, and one in seven is a retweet: "RT @name:" and the
+    burst's previous tweet with one word added, seconds later.
+    """
+    rng = np.random.default_rng(seed)
+    _, _, topic_vocab, stop_vocab, _ = build_world(seed=world_seed)
+    topic_vocab = [[letters_only(t) for t in vocab] for vocab in topic_vocab]
+    stop_vocab = [letters_only(t) for t in stop_vocab]
+    records, clock = [], 0
+    for _ in range(n_bursts):
+        topic = int(rng.integers(N_TOPICS))
+        clock += int(rng.integers(1200, 3601))
+        previous = None
+        for _ in range(int(rng.integers(4, 13))):
+            clock += int(rng.integers(30, 151))
+            tags = [TOPIC_TAGS[topic]]
+            if previous is not None and rng.random() < 1 / 7:
+                text = (f"RT @{rng.choice(stop_vocab)}: {previous['text']} "
+                        f"{rng.choice(stop_vocab)}")
+                tags = previous["hashtags"]
+            else:
+                length = 3 if rng.random() < 0.1 else int(rng.integers(8, 17))
+                words = list(make_text(rng, topic_vocab, stop_vocab, topic,
+                                       length).tokens)
+                if rng.random() < 0.3:
+                    tags.append(str(rng.choice(FILLER_TAGS)))
+                words += [f"#{tag.capitalize()}" for tag in tags]
+                if rng.random() < 0.3:
+                    words.insert(0, f"@{rng.choice(stop_vocab)}")
+                if rng.random() < 0.3:
+                    words.append(f"https://t.co/{rng.choice(stop_vocab)}")
+                if rng.random() < 0.3:
+                    words[-1] += "!"
+                text = " ".join(words)
+            previous = {"text": text, "hashtags": tags, "timestamp": clock}
+            records.append(previous)
+    return records
+
+
+def save_tweets(records, sink: IO[str]) -> None:
+    """Write tweet records as JSONL, one object per line."""
+    for record in records:
+        sink.write(json.dumps(record) + "\n")

@@ -39,9 +39,12 @@ from synth import (
     DOC_FREQ,
     build_world,
     make_pairs,
+    make_tweets,
     save_embeddings,
+    save_tweets,
     split_pairs,
     table_from,
+    tweet_world,
 )
 from test_evaluate import brute_force_split
 from test_learn import batch_distances, couple_of, lower_middle, stack
@@ -407,6 +410,84 @@ def test_cli_cross_embedding_transfer(tmp_path):
         f"eval --emb w8.txt error {learned:.3f} < 0.05 and < mean "
         f"{mean:.3f} / 4",
         learned < 0.05 and learned < mean / 4,
+    )
+
+
+# ---------------------------------------------------------------------------
+# training-order seeds
+# ---------------------------------------------------------------------------
+
+
+def test_learned_beats_mean_for_every_seed():
+    # TrainConfig.seed orders the minibatches; the learned result must not
+    # hang on one order.
+    table, idf, pairs = make_pairs(n_related=600, n_nonrelated=600, seed=7)
+    train_p, val_p, test_p = split_pairs(pairs)
+    mean = evaluate_method(test_p, baseline_representer(table, idf, "mean"),
+                           "euclidean", val_pairs=val_p).split_error
+    errors = []
+    for seed in range(5):
+        model, _ = train(train_p, table, idf,
+                         TrainConfig(seed=seed, batch_size=50))
+        errors.append(evaluate_method(
+            test_p, learned_representer(table, idf, model), "euclidean",
+            val_pairs=val_p).split_error)
+    check(
+        f"training-order seeds 0-4: learned error {min(errors):.4f}-"
+        f"{max(errors):.4f}, each < mean {mean:.4f}",
+        max(errors) < mean,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the Twitter half: pairs-tweets -> train -> eval
+# ---------------------------------------------------------------------------
+
+
+def test_cli_tweet_pipeline(tmp_path):
+    # Three streams over one world, so no tweet is in two splits.
+    table, doc_freq = tweet_world()
+    with open(tmp_path / "vec.txt", "w") as fh:
+        save_embeddings(table, fh)
+    with open(tmp_path / "df.tsv", "w") as fh:
+        save_doc_freq(doc_freq, CORPUS_SIZE, fh)
+
+    def path(name):
+        return str(tmp_path / name)
+
+    def run(*argv, out=None):
+        """Run a subcommand; with ``out``, return what it wrote there."""
+        argv = (*argv, "--out", path(out)) if out else argv
+        assert dispatch(list(argv)) == 0, argv
+        return (tmp_path / out).read_bytes() if out else None
+
+    blobs = {}
+    for seed, (split, count) in enumerate(
+            (("train", 300), ("val", 150), ("test", 150)), start=1):
+        with open(tmp_path / f"{split}.jsonl", "w") as fh:
+            save_tweets(make_tweets(seed=seed), fh)
+        for copy in ("", "2"):
+            blobs[split + copy] = run(
+                "pairs-tweets", "--tweets", path(f"{split}.jsonl"),
+                "--count", str(count), "--seed", "5", out=f"{split}{copy}.tsv")
+    tables = ("--emb", path("vec.txt"), "--df", path("df.tsv"))
+    for name in ("model.json", "model2.json"):
+        blobs[name] = run("train", "--pairs", path("train.tsv"), *tables,
+                          out=name)
+    scoring = ("--pairs", path("test.tsv"), "--val", path("val.tsv"), *tables)
+    run("eval", *scoring, "--model", path("model.json"),
+        "--report", path("learned.json"))
+    run("baseline-eval", *scoring, "--method", "mean",
+        "--report", path("mean.json"))
+    learned, mean = (
+        json.loads((tmp_path / f"{name}.json").read_text())["split_error"]
+        for name in ("learned", "mean"))
+    check(
+        f"tweet pipeline: same seed, byte-identical pair files and models; "
+        f"learned error {learned:.3f} < mean {mean:.3f}",
+        all(blobs[s] == blobs[s + "2"] for s in ("train", "val", "test"))
+        and blobs["model.json"] == blobs["model2.json"]
+        and learned < mean,
     )
 
 

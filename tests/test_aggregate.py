@@ -1,6 +1,7 @@
 import copy
 import gc
 import io
+import json
 import math
 import pickle
 import tracemalloc
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from textrep.aggregate import (
     BASELINE_METHODS,
-    Representation,
     UnrepresentableText,
     WeightModel,
     _encoding,
@@ -160,14 +160,6 @@ class TestRepresentLearned:
             rng.shuffle(tokens)
             rep = self.rep(tokens, table, idf, model)
             np.testing.assert_allclose(rep.vector, base.vector, atol=1e-12)
-
-    def test_representer_rejects_other_normalization(self):
-        table = table_from({"a": [1.0]})
-        idf = compute_idf({"a": 1}, 10)
-        model = WeightModel(n_max=1, weights=np.ones(1),
-                            normalization_version="v999")
-        with pytest.raises(ValueError, match="'v999'.*'v1'"):
-            learned_representer(table, idf, model)
 
     def test_weight_scaling_scales_output(self):
         rng = np.random.default_rng(3)
@@ -576,7 +568,7 @@ class TestTfidf:
 
 class TestDistance:
     def r(self, v):
-        return Representation(np.asarray(v, dtype=np.float64))
+        return np.asarray(v, dtype=np.float64)
 
     def test_identity(self):
         x = self.r([1.0, 2.0])
@@ -654,6 +646,18 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.metric == "euclidean"
         assert loaded.metadata["kappa"] == 160.0
+
+    def test_json_refuses_other_normalization(self):
+        # The version is a class constant: the file alone can name another.
+        with pytest.raises(TypeError):
+            WeightModel(n_max=1, weights=[1.0], normalization_version="v999")
+        with pytest.raises(ValueError, match="'v999'.*'v1'"):
+            WeightModel.from_json('{"n_max": 1, "weights": [1.0], '
+                                  '"normalization_version": "v999"}')
+        unversioned = WeightModel.from_json('{"n_max": 1, "weights": [1.0]}')
+        assert unversioned.normalization_version == "v1"
+        doc = json.loads(unversioned.to_json())
+        assert doc["normalization_version"] == "v1"
 
     def test_json_integer_weights_read_as_floats(self):
         loaded = WeightModel.from_json('{"n_max": 2, "weights": [1, -2]}')

@@ -434,6 +434,26 @@ class TestDataErrors:
                    "--report", tmp_path / "r.json") == 2
         assert capsys.readouterr().err == f"error: {df}: {message}\n"
 
+    def test_memory_error_is_data_error(self, workdir, tmp_path, capsys,
+                                        monkeypatch):
+        # Raised in place of allocating a histogram of 10**11 bins.
+        import textrep.evaluate
+
+        message = "Unable to allocate 745. GiB for an array"
+
+        def histograms(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(textrep.evaluate, "distance_histograms",
+                            histograms)
+        report = tmp_path / "r.json"
+        assert run("baseline-eval", "--pairs", workdir / "test.tsv",
+                   "--val", workdir / "val.tsv", "--emb", workdir / "vec.txt",
+                   "--df", workdir / "df.tsv", "--method", "mean",
+                   "--bins", 10**11, "--report", report) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_of_other_normalization_version(self, workdir, tmp_path,
                                                   capsys):
         model_path = tmp_path / "model.json"
@@ -682,6 +702,8 @@ OUT_OF_RANGE = [
     ("grid-kappa", "--folds", "1", "folds must be >= 2, got 1"),
     ("eval", "--bins", "0", "bins must be >= 2, got 0"),
     ("baseline-eval", "--bins", "0", "bins must be >= 2, got 0"),
+    ("grid-kappa", "--grid", "1,,2",
+     "--grid must be comma-separated numbers, got '1,,2'"),
 ]
 RANGE_IDS = [f"{command}{flag}={value}"
              for command, flag, value, _ in OUT_OF_RANGE]

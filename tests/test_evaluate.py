@@ -317,7 +317,8 @@ class TestEvaluateMethod:
         want = []
         for pair in pairs:
             try:
-                rep_a, rep_b = representer(pair.text_a), representer(pair.text_b)
+                rep_a = representer.single(pair.text_a)
+                rep_b = representer.single(pair.text_b)
             except UnrepresentableText:
                 want.append(math.inf)
                 continue

@@ -309,7 +309,7 @@ class TestCoupleGram:
         couples = prepare_couples([pair], table, idf, n_max)
         assert len(couples) == 1 and couples.labels.tolist() == [+1]
         represent = learned_representer(table, idf, model)
-        reps = [represent(t) for t in (pair.text_a, pair.text_b)]
+        reps = [represent.single(t) for t in (pair.text_a, pair.text_b)]
         expected = distance(*reps, "euclidean")
         gram = couples.grams[0]
         got = math.sqrt(max(model.weights @ gram @ model.weights, 0.0))
