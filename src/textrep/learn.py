@@ -13,7 +13,6 @@ gradient step.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import time
 import warnings
@@ -28,13 +27,6 @@ from .embeddings import EmbeddingTable
 from .pairgen import TextPair
 from .settings import FOLDS, KAPPA_GRID, TrainConfig
 from .textprep import IdfTable
-
-# glibc's int malloc_trim(size_t pad), looked up in the running process;
-# None elsewhere.
-_malloc_trim = getattr(ctypes.pythonapi, "malloc_trim", None)
-if _malloc_trim is not None:
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -157,10 +149,6 @@ def prepare_couples(
         table, idf,
     )
     kept = [i for i in range(n) if encoded[i] and encoded[n + i]]
-    # Free heap pages go back to the OS before training's largest block,
-    # so peak memory does not hinge on some freed hole fitting the stack.
-    if _malloc_trim is not None:
-        _malloc_trim(0)
     grams = np.empty((len(kept), n_max, n_max))
     for row, i in enumerate(kept):
         grams[row] = couple_gram(table.vectors[encoded[i][:n_max]],
@@ -249,12 +237,18 @@ def train(
 
 def kappa_configs(config: TrainConfig, grid: Sequence[float],
                   folds: int) -> list[TrainConfig]:
-    """One median-loss config per kappa in ``grid``; checks ``folds``."""
+    """One median-loss config per kappa in ``grid``; checks ``folds`` and
+    that no kappa repeats."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if not grid:
         raise ValueError("kappa grid is empty")
-    return [replace(config, kappa=kappa, loss="median") for kappa in grid]
+    configs = [replace(config, kappa=kappa, loss="median") for kappa in grid]
+    kappas = [float(kappa) for kappa in grid]
+    for i, kappa in enumerate(kappas):
+        if kappa in kappas[:i]:
+            raise ValueError(f"kappa grid repeats {kappa!r}")
+    return configs
 
 
 def grid_search_kappa(
@@ -267,16 +261,34 @@ def grid_search_kappa(
 ) -> tuple[float, dict[float, float]]:
     """Pick kappa by k-fold cross-validated split error (median loss).
 
-    Folds are stratified by label.  Ties break toward the smaller kappa;
-    a fold that fails to train scores that kappa as error 1.0.  Every
-    kappa is checked, as a TrainConfig, before any couple is prepared.
+    Folds are stratified by label.  Ties break toward the smaller kappa.
+    Every kappa is checked, as a TrainConfig, before any couple is
+    prepared.  Once the couples are prepared, a plan that cannot score
+    every fold is refused: each held-out fold must hold both labels (at
+    most as many folds as the rarer label has couples), and each training
+    split must keep ``batch_size // 2`` couples of each label.  A fold
+    whose training diverges scores that kappa as error 1.0, with a warning.
     """
     fold_configs = kappa_configs(config, grid, folds)
 
     couples = prepare_couples(pairs, table, idf, config.n_max)
+    related = couples.labels == +1
+    counts = (int(related.sum()), int((~related).sum()))
+    if folds > min(counts):
+        raise ValueError(
+            f"{folds} folds need at least {folds} couples per label, got "
+            f"{counts[0]} related / {counts[1]} non-related")
+    # Fold 0 holds ceil(n / folds) of a label's n couples, the most of any
+    # fold, so its training split keeps the fewest.
+    kept = [n - (n + folds - 1) // folds for n in counts]
+    half = config.batch_size // 2
+    if min(kept) < half:
+        raise ValueError(
+            f"batch {config.batch_size} needs at least {half} couples per "
+            f"label in every training split, but with {folds} folds the "
+            f"smallest keeps {kept[0]} related / {kept[1]} non-related")
     # A couple's fold is its position among the couples of its label,
     # modulo folds, so every fold holds both labels in proportion.
-    related = couples.labels == +1
     rank = np.where(related, np.cumsum(related), np.cumsum(~related)) - 1
     fold = rank % folds
 
@@ -290,7 +302,7 @@ def grid_search_kappa(
                 held_d, _ = _distances_and_gradients(held_out, model.weights)
                 _, err = evaluate.optimal_split(held_d, held_out.labels)
                 errors.append(err)
-            except (ValueError, FloatingPointError) as exc:
+            except FloatingPointError as exc:
                 warnings.warn(
                     f"fold {k} failed for kappa={fold_config.kappa}: {exc}")
                 errors.append(1.0)

@@ -351,6 +351,28 @@ class TestGridKappa:
         assert doc["kappa_best"] in (80.0, 160.0)
         assert set(doc["scores"]) == {"80.0", "160.0"}
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--folds", 151),
+         "151 folds need at least 151 couples per label, "
+         "got 150 related / 150 non-related"),
+        (("--folds", 2, "--batch", 160),
+         "batch 160 needs at least 80 couples per label in every training "
+         "split, but with 2 folds the smallest keeps 75 related / "
+         "75 non-related"),
+    ], ids=["folds", "batch"])
+    def test_refuses_a_plan_that_cannot_score_every_fold(
+            self, workdir, tmp_path, capsys, flags, message):
+        assert run(
+            "grid-kappa", "--pairs", workdir / "train.tsv",
+            "--emb", workdir / "vec.txt", "--df", workdir / "df.tsv",
+            "--grid", "80,160", "--nmax", 30, "--batch", 20,
+            "--max-epochs", 5, *flags, "--out", tmp_path / "kappa.json",
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEmbed:
     def test_baseline_embedding_csv(self, workdir, capsys):
@@ -704,6 +726,7 @@ OUT_OF_RANGE = [
     ("baseline-eval", "--bins", "0", "bins must be >= 2, got 0"),
     ("grid-kappa", "--grid", "1,,2",
      "--grid must be comma-separated numbers, got '1,,2'"),
+    ("grid-kappa", "--grid", "40,40", "kappa grid repeats 40.0"),
 ]
 RANGE_IDS = [f"{command}{flag}={value}"
              for command, flag, value, _ in OUT_OF_RANGE]

@@ -1,5 +1,4 @@
 import math
-import platform
 
 import numpy as np
 import pytest
@@ -366,18 +365,6 @@ class TestTrain:
         m2, _ = train(subset, table, idf, config)
         assert np.array_equal(m1.weights, m2.weights)
 
-    def test_prepare_couples_trims_the_heap_first(self, small_world,
-                                                  monkeypatch):
-        """Free heap pages go back before the Gram stack is allocated, so
-        peak memory does not hinge on a freed hole fitting the stack."""
-        if platform.libc_ver()[0] == "glibc":
-            assert learn_mod._malloc_trim is not None
-        calls = []
-        monkeypatch.setattr(learn_mod, "_malloc_trim", calls.append)
-        table, idf, pairs = small_world
-        learn_mod.prepare_couples(pairs[:10], table, idf, 5)
-        assert calls == [0]
-
     def test_rejects_odd_batch(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=99)
@@ -451,7 +438,8 @@ class TestGridSearchKappa:
             lambda distances, labels: (0.0, 0.25),
         )
         best, scores = grid_search_kappa(
-            pairs[:100], table, idf, config, grid=(160.0, 20.0, 80.0), folds=2
+            pairs[:50] + pairs[400:450], table, idf, config,
+            grid=(160.0, 20.0, 80.0), folds=2
         )
         assert best == 20.0
         assert all(v == 0.25 for v in scores.values())
@@ -463,6 +451,9 @@ class TestGridSearchKappa:
             grid_search_kappa(pairs, table, idf, config, grid=(), folds=2)
         with pytest.raises(ValueError):
             grid_search_kappa(pairs, table, idf, config, grid=(10.0,), folds=1)
+        with pytest.raises(ValueError, match="^kappa grid repeats 40.0$"):
+            grid_search_kappa(pairs, table, idf, config, grid=(40.0, 10.0, 40),
+                              folds=2)
 
     @pytest.mark.parametrize("grid", [(math.nan, 10.0), (10.0, 0.0),
                                       (-20.0,), (math.inf,)])
@@ -477,3 +468,57 @@ class TestGridSearchKappa:
         with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
             grid_search_kappa(pairs, table, idf, TrainConfig(n_max=30),
                               grid=grid, folds=2)
+
+    @pytest.mark.parametrize(
+        "n_related, n_nonrelated, folds, batch, message", [
+        (10, 3, 4, 2,
+         "4 folds need at least 4 couples per label, "
+         "got 10 related / 3 non-related"),
+        (51, 50, 2, 52,
+         "batch 52 needs at least 26 couples per label in every training "
+         "split, but with 2 folds the smallest keeps 25 related / "
+         "25 non-related"),
+    ], ids=["folds", "batch"])
+    def test_refuses_a_plan_that_cannot_score_every_fold(
+            self, small_world, monkeypatch, n_related, n_nonrelated, folds,
+            batch, message):
+        table, idf, pairs = small_world
+
+        def unreachable(*args):
+            raise AssertionError("trained before the plan check")
+
+        monkeypatch.setattr(learn_mod, "train_couples", unreachable)
+        subset = pairs[:n_related] + pairs[400:400 + n_nonrelated]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search_kappa(subset, table, idf,
+                              TrainConfig(n_max=30, batch_size=batch),
+                              grid=(80.0,), folds=folds)
+
+    def test_accepts_training_splits_of_exactly_half_a_batch(
+            self, small_world):
+        table, idf, pairs = small_world
+        config = TrainConfig(n_max=30, batch_size=50, max_epochs=2)
+        best, scores = grid_search_kappa(pairs[:51] + pairs[400:450], table,
+                                         idf, config, grid=(80.0,), folds=2)
+        assert best == 80.0 and 0.0 <= scores[80.0] < 1.0
+
+    def test_diverging_fold_scores_one_with_a_warning(self, small_world,
+                                                      monkeypatch):
+        table, idf, pairs = small_world
+
+        def train_couples(couples, cfg):
+            if cfg.kappa == 80.0:
+                raise FloatingPointError("non-finite loss")
+            return WeightModel(n_max=cfg.n_max, weights=np.ones(cfg.n_max)), []
+
+        monkeypatch.setattr(learn_mod, "train_couples", train_couples)
+        with pytest.warns(UserWarning) as record:
+            best, scores = grid_search_kappa(
+                pairs[:50] + pairs[400:450], table, idf,
+                TrainConfig(n_max=30, batch_size=20), grid=(80.0, 160.0),
+                folds=2)
+        assert [str(w.message) for w in record] == [
+            f"fold {k} failed for kappa=80.0: non-finite loss" for k in (0, 1)]
+        assert scores[80.0] == 1.0
+        assert scores[160.0] < 1.0
+        assert best == 160.0
