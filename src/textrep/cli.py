@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 # Only modules free of numpy are imported here.  The subcommands that
@@ -363,24 +364,28 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv=None) -> int:
-    """Run a subcommand; all but embed return (output, inputs, summary)."""
+    """Run a subcommand; all but embed return (output, inputs, summary).
+    A library warning prints as one ``warning: <message>`` line."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        started = time.monotonic()
-        done = args.func(args)
-        if done is not None:
-            out_path, inputs, summary = done
-            _write_manifest(out_path, args, inputs, started)
-            print(summary, file=sys.stderr)
-        return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
-        # Data errors, and a run too large for this machine's memory.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_, **__: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            started = time.monotonic()
+            done = args.func(args)
+            if done is not None:
+                out_path, inputs, summary = done
+                _write_manifest(out_path, args, inputs, started)
+                print(summary, file=sys.stderr)
+            return 0
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
+            # Data errors, and a run too large for this machine's memory.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

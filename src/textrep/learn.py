@@ -1,11 +1,12 @@
 """Weight training with contrastive and median-based minibatch losses.
 
 A couple is a Gram matrix G plus a +1/-1 label; a set of couples is one
-stack of Grams and one label vector.  Representations are
-linear in the weights w, so the difference of a couple's two
-weighted-average representations is D w for a dim x n_max matrix D, and
-the couple's Euclidean distance is sqrt(w^T G w) with G = D^T D.  The
-contrastive loss is the label-signed distance.  The median-based loss
+stack of Grams and one label vector.  Representations are linear in the
+weights w, so the difference of a couple's two weighted-average
+representations is D w for a dim x n_max matrix D, and the couple's
+Euclidean distance is sqrt(w^T G w) with G = D^T D, built a few couples
+of equal text lengths at a time yet bit-identical to one built alone.
+The contrastive loss is the label-signed distance.  The median-based loss
 softplus-penalizes couples on the wrong side of the minibatch's median
 pair distance, with the median couple's identity held fixed inside each
 gradient step.
@@ -63,21 +64,6 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def couple_gram(
-    vectors_a: np.ndarray, vectors_b: np.ndarray, n_max: int
-) -> np.ndarray:
-    """G = D^T D for D = V_a^T P_{m_a} / m_a - V_b^T P_{m_b} / m_b.
-
-    ``vectors_a`` and ``vectors_b`` are the idf-sorted (m, dim) embedding
-    matrices of the two texts, at most n_max rows each; D w is the
-    difference of their learned representations under weights w.
-    """
-    m_a, m_b = len(vectors_a), len(vectors_b)
-    diff = (vectors_a.T @ interpolation_matrix(m_a, n_max) / m_a
-            - vectors_b.T @ interpolation_matrix(m_b, n_max) / m_b)
-    return diff.T @ diff
-
-
 def _distances_and_gradients(
     couples: Couples, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +118,21 @@ def batch_loss_and_gradient(
     return loss_value, grad
 
 
+# Couples per chunk of batched BLAS calls.  On the `train` benchmark
+# (dim 300, n_max 20, 2 MB L2) chunks of 4-8 built fastest; 16-64 were
+# slower, their (chunk, n_max, dim) side blocks no longer fitting in L2.
+GRAM_CHUNK = 8
+
+
+def _side_block(vectors, ids, m, n_max):
+    """P_m^T V / m for each row of a (texts, m) id array."""
+    block = vectors.take(ids, axis=0)
+    if m < n_max:  # P_{n_max} is the identity
+        block = np.matmul(interpolation_matrix(m, n_max).T, block)
+    block /= m
+    return block
+
+
 def prepare_couples(
     pairs: Sequence[TextPair],
     table: EmbeddingTable,
@@ -141,7 +142,12 @@ def prepare_couples(
     """Encode and truncate pairs, then reduce each to the Gram matrix of
     its distance.
 
-    Pairs where either side has no in-vocabulary token are dropped.
+    Pairs where either side has no in-vocabulary token are dropped.  A
+    couple's Gram is D^T D for D = V_a^T P_{m_a} / m_a - V_b^T P_{m_b} / m_b
+    (V: a text's first m <= n_max idf-sorted rows, P_m: its
+    interpolation_matrix).  Couples are built GRAM_CHUNK at a time per
+    (m_a, m_b) group, each with the operations it would take alone, so
+    every Gram is bit-identical to one built alone, in pair order.
     """
     n = len(pairs)
     encoded = encode(
@@ -150,12 +156,23 @@ def prepare_couples(
     )
     kept = [i for i in range(n) if encoded[i] and encoded[n + i]]
     grams = np.empty((len(kept), n_max, n_max))
+    groups: dict[tuple[int, int], list[int]] = {}
     for row, i in enumerate(kept):
-        grams[row] = couple_gram(table.vectors[encoded[i][:n_max]],
-                                 table.vectors[encoded[n + i][:n_max]], n_max)
+        key = (min(len(encoded[i]), n_max), min(len(encoded[n + i]), n_max))
+        groups.setdefault(key, []).append(row)
+    for (m_a, m_b), rows in groups.items():
+        ids_a = np.array([encoded[kept[r]][:m_a] for r in rows])
+        ids_b = np.array([encoded[n + kept[r]][:m_b] for r in rows])
+        for start in range(0, len(rows), GRAM_CHUNK):
+            chunk = slice(start, start + GRAM_CHUNK)
+            e = _side_block(table.vectors, ids_a[chunk], m_a, n_max)
+            e -= _side_block(table.vectors, ids_b[chunk], m_b, n_max)
+            grams[rows[chunk]] = np.matmul(e, e.transpose(0, 2, 1))
     return Couples(grams, np.array([pairs[i].label for i in kept]))
 
 
+# Divergence is raised as FloatingPointError; numpy's warnings would repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train_couples(
     couples: Couples, config: TrainConfig
 ) -> tuple[WeightModel, list[EpochRecord]]:
@@ -164,7 +181,8 @@ def train_couples(
 
     eta drops from eta_initial to eta_reduced the first time the mean
     epoch loss deteriorates; at the reduced rate, training stops once the
-    epoch-to-epoch improvement falls below stop_delta.
+    epoch-to-epoch improvement falls below stop_delta.  A non-finite loss,
+    or non-finite weights at the end, raise FloatingPointError.
     """
     related = np.flatnonzero(couples.labels == +1)
     nonrelated = np.flatnonzero(couples.labels == -1)
@@ -195,7 +213,7 @@ def train_couples(
             )
             if not math.isfinite(loss_value):
                 raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {i}; weights={w!r}"
+                    f"non-finite loss at epoch {epoch}, batch {i}; weights={w.tolist()}"
                 )
             w = w - eta * grad
             mean_loss = ((i - 1) * mean_loss + loss_value) / i
@@ -209,6 +227,8 @@ def train_couples(
             mean_old = mean_loss
             break
         mean_old = mean_loss
+    if not np.isfinite(w).all():
+        raise FloatingPointError(f"non-finite weights after epoch {len(trace)}")
 
     model = WeightModel(
         n_max=config.n_max,

@@ -351,6 +351,26 @@ class TestGridKappa:
         assert doc["kappa_best"] in (80.0, 160.0)
         assert set(doc["scores"]) == {"80.0", "160.0"}
 
+    def test_diverging_folds_warn_one_line_each(self, workdir, tmp_path):
+        out = tmp_path / "kappa.json"
+        proc = run_python(
+            "-m", "textrep.cli", "grid-kappa",
+            "--pairs", workdir / "train.tsv", "--emb", workdir / "vec.txt",
+            "--df", workdir / "df.tsv", "--grid", "40,160", "--folds", "2",
+            "--eta", "1e300", "--eta-reduced", "1e299", "--max-epochs", "3",
+            "--nmax", "30", "--batch", "20", "--out", out)
+        *warned, summary = proc.stderr.splitlines()
+        failed = [re.fullmatch(r"warning: fold (\d) failed for kappa=(\S+): "
+                               r"non-finite loss at epoch \d+, batch \d+; "
+                               r"weights=\[[^]]*\]", line) for line in warned]
+        assert all(failed), warned
+        assert [match.groups() for match in failed] == [
+            ("0", "40.0"), ("1", "40.0"), ("0", "160.0"), ("1", "160.0")]
+        assert not [line for line in proc.stderr.splitlines()
+                    if "learn.py:" in line or "warnings.warn(" in line]
+        assert summary == "kappa_best=40.0"
+        assert json.loads(out.read_text())["kappa_best"] == 40.0
+
     @pytest.mark.parametrize("flags, message", [
         (("--folds", 151),
          "151 folds need at least 151 couples per label, "

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import textrep.learn as learn_mod
-from textrep.aggregate import WeightModel, distance, learned_representer
+from textrep.aggregate import (
+    WeightModel,
+    distance,
+    encode,
+    interpolation_matrix,
+    learned_representer,
+)
 from textrep.embeddings import compute_idf
 from textrep.learn import (
+    GRAM_CHUNK,
     Couples,
     TrainConfig,
     batch_loss_and_gradient,
-    couple_gram,
     grid_search_kappa,
     prepare_couples,
     sigmoid,
@@ -23,6 +29,20 @@ from textrep.pairgen import TextPair
 from textrep.textprep import NormalizedText
 
 from synth import make_pairs, split_pairs, table_from
+
+
+def couple_gram(vectors_a, vectors_b, n_max):
+    """G = D^T D for D = V_a^T P_{m_a} / m_a - V_b^T P_{m_b} / m_b, one
+    couple at a time: the reference that prepare_couples matches bit for
+    bit.
+
+    ``vectors_a`` and ``vectors_b`` are the idf-sorted (m, dim) embedding
+    matrices of the two texts, at most n_max rows each.
+    """
+    m_a, m_b = len(vectors_a), len(vectors_b)
+    diff = (vectors_a.T @ interpolation_matrix(m_a, n_max) / m_a
+            - vectors_b.T @ interpolation_matrix(m_b, n_max) / m_b)
+    return diff.T @ diff
 
 
 def couple_of(vectors_a, vectors_b, label, n_max=1):
@@ -317,6 +337,49 @@ class TestCoupleGram:
         else:
             assert abs(got - expected) <= 1e-12 * expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_max=st.integers(3, 9),
+        dim=st.integers(1, 40),
+        extra=st.integers(0, 20),
+    )
+    def test_grams_equal_the_one_couple_formula(self, seed, n_max, dim,
+                                                extra):
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(2 * n_max)]
+        table = table_from({t: rng.normal(size=dim) for t in vocab})
+        idf = compute_idf({t: int(rng.integers(0, 100)) for t in vocab}, 100)
+        # In-vocabulary lengths: all-OOV, m = 1, 1 < m < n_max, m = n_max
+        # and longer than n_max, which is cut to n_max.
+        kinds = [0, 1, int(rng.integers(2, n_max)), n_max,
+                 n_max + int(rng.integers(1, 4))]
+        lengths = [(a, b) for a in kinds for b in kinds]
+        # One (n_max, 1) group holding more couples than one chunk.
+        lengths += [(n_max + k % 3, 1) for k in range(GRAM_CHUNK + 1)]
+        lengths += [tuple(rng.choice(kinds, size=2)) for _ in range(extra)]
+        order = rng.permutation(len(lengths))
+
+        def text(length):
+            tokens = list(rng.choice(vocab, size=length))
+            oov = int(rng.integers(length == 0, 3))  # a text is not empty
+            tokens += [f"oov{i}" for i in range(oov)]
+            rng.shuffle(tokens)
+            return NormalizedText(tuple(tokens))
+
+        pairs = [TextPair(text(lengths[k][0]), text(lengths[k][1]),
+                          int(rng.choice([-1, 1]))) for k in order]
+        couples = prepare_couples(pairs, table, idf, n_max)
+
+        kept = [p for p, k in zip(pairs, order) if min(lengths[k]) > 0]
+        assert couples.grams.shape == (len(kept), n_max, n_max)
+        assert couples.labels.tolist() == [p.label for p in kept]
+        for pair, gram in zip(kept, couples.grams):
+            ids_a, ids_b = encode([pair.text_a, pair.text_b], table, idf)
+            expected = couple_gram(table.vectors[ids_a[:n_max]],
+                                   table.vectors[ids_b[:n_max]], n_max)
+            assert np.array_equal(gram, expected)
+
 
 class TestSigmoidSoftplus:
     def test_sigmoid_bounds_and_symmetry(self):
@@ -401,6 +464,28 @@ class TestTrain:
         couples = Couples(np.zeros((10, 2, 2)), np.full(10, +1))
         with pytest.raises(ValueError, match="per label"):
             train_couples(couples, TrainConfig(batch_size=4, n_max=2))
+
+    def test_diverging_training_raises_without_numpy_warnings(
+            self, small_world):
+        # Warnings are errors under pytest, so an overflow warning from
+        # numpy would surface here instead of the FloatingPointError.
+        table, idf, pairs = small_world
+        couples = prepare_couples(pairs[:50] + pairs[400:450], table, idf, 30)
+        config = TrainConfig(n_max=30, batch_size=20, eta_initial=1e300,
+                             eta_reduced=1e299, max_epochs=3)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite loss at epoch 1, batch \d+; "
+                                 r"weights=\[[^\n]*\]$"):
+            train_couples(couples, config)
+
+    def test_weights_overflowing_at_the_last_step_raise(self):
+        # One batch of one epoch: the loss is finite, the step is not.
+        couples = Couples(np.array([[[100.0]], [[1.0]]]), np.array([+1, -1]))
+        config = TrainConfig(n_max=1, batch_size=2, eta_initial=1e308,
+                             eta_reduced=1e307, max_epochs=1)
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite weights after epoch 1$"):
+            train_couples(couples, config)
 
     def test_paper_defaults(self):
         config = TrainConfig()
